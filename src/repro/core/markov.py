@@ -99,10 +99,9 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     The reduced chains driven by an ergodic trial process are unichain
     (one recurrent class, possibly with transient start-up states), so the
     linear system ``(P^T - I) pi = 0`` with the normalization row has a
-    unique solution.  A least-squares fallback covers the measure-zero
-    parameter corners (e.g. ``p = 0``) where the chain decomposes; any
-    stationary distribution then yields the correct cost because absorbing
-    subclasses at those corners are cost-equivalent.
+    unique solution.  :func:`_limit_from_start` covers the measure-zero
+    parameter corners (e.g. ``p = 0``) where the chain decomposes or the
+    solve is ill-conditioned.
     """
     n = P.shape[0]
     A = P.T - np.eye(n)
@@ -117,7 +116,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pi = None
     if pi is None:
-        pi = _cesaro_limit(P)
+        pi = _limit_from_start(P)
     # clean tiny negative round-off and renormalize.
     pi = np.where(pi < 0, 0.0, pi)
     total = pi.sum()
@@ -126,28 +125,45 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / total
 
 
-def _cesaro_limit(P: np.ndarray, start: int = 0, iters: int = 20_000,
-                  tol: float = 1e-13) -> np.ndarray:
-    """Cesàro-averaged power iteration from a start state.
+def _limit_from_start(P: np.ndarray, start: int = 0) -> np.ndarray:
+    """The long-run (Cesàro) distribution of the chain started in ``start``.
 
-    Used when the direct solve is singular (degenerate parameter corners
-    can split the chain into several closed classes): the Cesàro average
-    from the *initial* state weighs exactly the classes the system can
-    actually reach, and converges for periodic chains as well.
+    Used when the direct solve fails: degenerate parameter corners can
+    split the chain into several closed classes, or leave transient
+    states that drain with probabilities near machine epsilon.  Classes
+    come from the non-zero pattern of ``P``, so transient states get
+    exactly zero mass however slowly they drain; each closed class is
+    weighed by its absorption probability from ``start`` and solved on
+    its own (irreducible, so well posed even when periodic).
     """
     n = P.shape[0]
-    v = np.zeros(n)
-    v[start] = 1.0
-    avg = np.zeros(n)
-    prev = None
-    for k in range(1, iters + 1):
-        v = v @ P
-        avg += (v - avg) / k
-        if k % 64 == 0:
-            if prev is not None and np.abs(avg - prev).max() < tol:
-                break
-            prev = avg.copy()
-    return avg
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    while True:  # transitive closure by repeated squaring
+        closure = (reach.astype(float) @ reach.astype(float)) > 0
+        if (closure == reach).all():
+            break
+        reach = closure
+    closed = (reach <= reach.T).all(axis=1)  # reaches back from everywhere
+    entry = np.zeros(n)  # probability that the chain enters closed states here
+    if closed[start]:
+        entry[start] = 1.0
+    else:
+        Q = P[np.ix_(~closed, ~closed)]
+        origin = (np.flatnonzero(~closed) == start).astype(float)
+        visits = np.linalg.solve((np.eye(len(Q)) - Q).T, origin)
+        entry[closed] = visits @ P[np.ix_(~closed, closed)]
+    pi = np.zeros(n)
+    for i in np.flatnonzero(closed & (entry > 0)):
+        members = reach[i]  # the closed class of i
+        if not pi[members].any():
+            size = members.sum()
+            A = np.vstack([P[np.ix_(members, members)].T - np.eye(size),
+                           np.ones(size)])
+            b = np.zeros(size + 1)
+            b[-1] = 1.0
+            pi[members] = (entry[members].sum()
+                           * np.linalg.lstsq(A, b, rcond=None)[0])
+    return pi
 
 
 def expected_cost(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = [
     "MsgType",
@@ -104,6 +104,11 @@ class ParamPresence(Enum):
     USER_INFO = "ui"  #: complete user-information part of a copy
 
 
+# aliases: reading a member off its enum class is slow on CPython 3.11
+_WRITE = ParamPresence.WRITE
+_USER_INFO = ParamPresence.USER_INFO
+
+
 @dataclass(frozen=True, slots=True)
 class MessageToken:
     """The five-tuple message token of Section 3."""
@@ -131,21 +136,21 @@ def token_cost(presence: ParamPresence, S: float, P: float) -> float:
     queues in the paper's protocols; if such a message were sent inter-node
     it would cost ``1`` (the parameters select data, they do not carry it).
     """
-    if presence is ParamPresence.USER_INFO:
+    if presence is _USER_INFO:
         return S + 1.0
-    if presence is ParamPresence.WRITE:
+    if presence is _WRITE:
         return P + 1.0
     return 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """A token plus its payload and addressing, as carried by a channel.
 
     ``payload`` carries simulated user information or write parameters (the
     version-vector values used by the simulator's coherence checker);
     ``op_id`` attributes every message to the application operation whose
     trace it belongs to, which is how the simulator accounts trace costs.
+    A named tuple: immutable, and twice as fast to build as a dataclass.
     """
 
     token: MessageToken
@@ -155,7 +160,12 @@ class Message:
     op_id: Optional[int] = None
 
     def cost(self, S: float, P: float) -> float:
-        """Inter-node communication cost of this message."""
+        """Inter-node communication cost (the :func:`token_cost` rule)."""
         if self.src == self.dst:
             return 0.0
-        return token_cost(self.token.parameter_presence, S, P)
+        presence = self.token.parameter_presence
+        if presence is _USER_INFO:
+            return S + 1.0
+        if presence is _WRITE:
+            return P + 1.0
+        return 1.0

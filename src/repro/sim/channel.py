@@ -120,15 +120,15 @@ class Network:
         Raises:
             RuntimeError: if ``msg.dst`` was never attached to the fabric.
         """
-        if msg.dst not in self._deliver_to:
+        src, dst = msg.src, msg.dst
+        if dst not in self._deliver_to:
             raise RuntimeError(
-                f"cannot send {type(msg).__name__} from node {msg.src}: "
-                f"destination node {msg.dst} is not attached to the network"
+                f"cannot send {type(msg).__name__} from node {src}: "
+                f"destination node {dst} is not attached to the network"
             )
-        faulty = ((self.faults is not None or self.partitions is not None)
-                  and msg.src != msg.dst)
-        if (faulty and self.faults is not None
-                and self.faults.is_down(msg.src, self.scheduler.now)):
+        plan, parts, scheduler = self.faults, self.partitions, self.scheduler
+        faulty = (plan is not None or parts is not None) and src != dst
+        if faulty and plan is not None and plan.is_down(src, scheduler.now):
             # the source's interface is dead: nothing leaves the node and
             # nothing is charged (the message was never emitted).
             self.suppressed += 1
@@ -138,84 +138,85 @@ class Network:
         if self.on_cost is not None and cost > 0.0:
             self.on_cost(msg, cost)
         self.messages_sent += 1
-        channel = (msg.src, msg.dst)
-        seq = self._sent_seq.get(channel, 0) + 1
-        self._sent_seq[channel] = seq
+        channel = (src, dst)
+        seq = self._sent_seq[channel] = self._sent_seq.get(channel, 0) + 1
 
         if not faulty:
-
-            def deliver() -> None:
-                # FIFO invariant: per channel, delivery follows send order.
-                last = self._delivered_seq.get(channel, 0)
-                if seq < last:  # pragma: no cover - would indicate an engine bug
-                    raise RuntimeError(f"FIFO violation on channel {channel}")
-                self._delivered_seq[channel] = seq
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.op_event("deliver", msg.op_id, src=msg.src,
-                                    dst=msg.dst, detail=msg.token.type.value)
-                self._deliver_to[msg.dst](msg)
-
-            self.scheduler.schedule(self.latency, deliver)
+            scheduler.schedule(self.latency, self._deliver, (msg, seq))
             return cost
 
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
-        plan = self.faults
-        parts = self.partitions
-        now = self.scheduler.now
-
-        def deliver_faulty() -> None:
-            if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
-                # the receiver is crashed: the transmission is lost.
-                self.dropped += 1
-                self._fault_event("down_dst")
-                return
-            # jitter reorders deliveries, so no strict FIFO check here;
-            # track the high-water mark for observability only.
-            last = self._delivered_seq.get(channel, 0)
-            if seq > last:
-                self._delivered_seq[channel] = seq
-            tracer = self.tracer
-            if tracer is not None:
-                token = getattr(msg, "token", None)
-                tracer.op_event(
-                    "deliver", msg.op_id, src=msg.src, dst=msg.dst,
-                    detail=(token.type.value if token is not None
-                            else getattr(msg, "kind", None)),
-                )
-            self._deliver_to[msg.dst](msg)
-
-        def jittered_delay() -> float:
-            delay = self.latency
-            if plan is not None:
-                delay += plan.jitter_for(msg.src, msg.dst)
-            if parts is not None:
-                delay += parts.jitter_for(msg.src, msg.dst, now)
-            if plan is not None and plan.slowdowns:
-                # gray failure: a straggler endpoint stretches the whole
-                # delivery multiplicatively.  Deterministic (no RNG), and
-                # exactly 1.0 without slow windows, so plans predating
-                # the straggler model keep byte-identical delays.
-                delay *= plan.link_slowdown(msg.src, msg.dst, now)
-            return delay
-
-        # the global plan rolls first; a loss there short-circuits the
-        # link roll (both streams are private, so this stays deterministic)
-        dropped = ((plan is not None and plan.should_drop(msg.src, msg.dst))
-                   or (parts is not None
-                       and parts.should_drop(msg.src, msg.dst, now)))
+        # RNG draws in a fixed order: drop, jitter, duplicate, jitter; the
+        # global plan rolls first and a loss there skips the link roll.
+        now = scheduler.now
+        item = (msg, seq)
+        dropped = ((plan is not None and plan.should_drop(src, dst))
+                   or (parts is not None and parts.should_drop(src, dst, now)))
         if dropped:
             self.dropped += 1
             self._fault_event("drop")
         else:
-            self.scheduler.schedule(jittered_delay(), deliver_faulty)
-        duplicated = ((plan is not None
-                       and plan.should_duplicate(msg.src, msg.dst))
+            scheduler.schedule(self._jittered_delay(src, dst, now),
+                               self._deliver_faulty, item)
+        duplicated = ((plan is not None and plan.should_duplicate(src, dst))
                       or (parts is not None
-                          and parts.should_duplicate(msg.src, msg.dst, now)))
+                          and parts.should_duplicate(src, dst, now)))
         if duplicated:
             self.duplicated += 1
             self._fault_event("duplicate")
-            self.scheduler.schedule(jittered_delay(), deliver_faulty)
+            scheduler.schedule(self._jittered_delay(src, dst, now),
+                               self._deliver_faulty, item)
         return cost
 
+    def _deliver(self, item: Tuple[Message, int]) -> None:
+        msg, seq = item
+        channel = (msg.src, msg.dst)
+        # FIFO invariant: per channel, delivery follows send order (a
+        # violation would be an engine bug).
+        if seq < self._delivered_seq.get(channel, 0):  # pragma: no cover
+            raise RuntimeError(f"FIFO violation on channel {channel}")
+        self._delivered_seq[channel] = seq
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.op_event("deliver", msg.op_id, src=msg.src,
+                            dst=msg.dst, detail=msg.token.type.value)
+        self._deliver_to[msg.dst](msg)
+
+    def _deliver_faulty(self, item: Tuple[Message, int]) -> None:
+        msg, seq = item
+        plan = self.faults
+        if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
+            # the receiver is crashed: the transmission is lost.
+            self.dropped += 1
+            self._fault_event("down_dst")
+            return
+        # jitter reorders deliveries, so no strict FIFO check here;
+        # track the high-water mark for observability only.
+        channel = (msg.src, msg.dst)
+        if seq > self._delivered_seq.get(channel, 0):
+            self._delivered_seq[channel] = seq
+        tracer = self.tracer
+        if tracer is not None:
+            token = getattr(msg, "token", None)
+            tracer.op_event(
+                "deliver", msg.op_id, src=msg.src, dst=msg.dst,
+                detail=(token.type.value if token is not None
+                        else getattr(msg, "kind", None)),
+            )
+        self._deliver_to[msg.dst](msg)
+
+    def _jittered_delay(self, src: int, dst: int, now: float) -> float:
+        delay = self.latency
+        plan = self.faults
+        parts = self.partitions
+        if plan is not None:
+            delay += plan.jitter_for(src, dst)
+        if parts is not None:
+            delay += parts.jitter_for(src, dst, now)
+        if plan is not None and plan.slowdowns:
+            # gray failure: a straggler endpoint stretches the whole
+            # delivery multiplicatively.  Deterministic (no RNG), and
+            # exactly 1.0 without slow windows, so plans predating the
+            # straggler model keep byte-identical delays.
+            delay *= plan.link_slowdown(src, dst, now)
+        return delay

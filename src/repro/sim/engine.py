@@ -11,17 +11,22 @@ Scheduling returns a :class:`TimerHandle`; the reliable-delivery layer
 acknowledgement arrives.  Cancellation is lazy: the heap entry stays in
 place and is discarded, uncounted, when it reaches the front — cancelling is
 O(1) and the hot scheduling path stays allocation-light (the simulator
-schedules millions of events in the Table 7 reproduction; the handle is a
-single slotted object per event).
+schedules millions of events in the Table 7 reproduction).  An event is
+its heap triple and one slotted handle carrying a callback and optional
+argument: callers pass a bound method and a message, key or operation
+rather than build a closure per event.
 """
 
 from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["EventScheduler", "TimerHandle"]
+
+#: marks an event scheduled without an argument (``None`` is an argument)
+_NO_ARG = object()
 
 
 class TimerHandle:
@@ -31,12 +36,13 @@ class TimerHandle:
     whichever comes first.  Cancelling an inactive handle is a no-op.
     """
 
-    __slots__ = ("_callback", "_scheduler")
+    __slots__ = ("_callback", "_arg", "_scheduler")
 
-    def __init__(self, scheduler: "EventScheduler",
-                 callback: Callable[[], None]) -> None:
+    def __init__(self, scheduler: "EventScheduler", callback: Callable,
+                 arg: Any) -> None:
         self._scheduler = scheduler
         self._callback = callback
+        self._arg = arg
 
     def cancel(self) -> bool:
         """Cancel the event if it has not fired yet.
@@ -46,7 +52,7 @@ class TimerHandle:
         """
         if self._callback is None:
             return False
-        self._callback = None
+        self._callback = self._arg = None
         self._scheduler._cancelled += 1
         return True
 
@@ -76,25 +82,25 @@ class EventScheduler:
         #: dispatch is timed under the ``engine.dispatch`` scope
         self.profiler = None
 
-    def schedule(self, delay: float, callback: Callable[[], None]
-                 ) -> TimerHandle:
-        """Schedule ``callback`` to run ``delay`` time units from now."""
+    def schedule(self, delay: float, callback: Callable,
+                 arg: Any = _NO_ARG) -> TimerHandle:
+        """Schedule ``callback`` (or ``callback(arg)``) ``delay`` from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self.now + delay, callback)
+        self._seq += 1
+        handle = TimerHandle(self, callback, arg)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, handle))
+        return handle
 
-    def schedule_at(self, time: float, callback: Callable[[], None]
-                    ) -> TimerHandle:
-        """Schedule ``callback`` at an absolute simulation time."""
+    def schedule_at(self, time: float, callback: Callable,
+                    arg: Any = _NO_ARG) -> TimerHandle:
+        """Schedule ``callback`` (or ``callback(arg)``) at an absolute time."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        return self._push(time, callback)
-
-    def _push(self, time: float, callback: Callable[[], None]) -> TimerHandle:
         self._seq += 1
-        handle = TimerHandle(self, callback)
+        handle = TimerHandle(self, callback, arg)
         heapq.heappush(self._heap, (time, self._seq, handle))
         return handle
 
@@ -118,11 +124,14 @@ class EventScheduler:
             self.now = time
             self.executed += 1
             profiler = self.profiler
-            if profiler is None:
+            if profiler is not None:
+                t0 = perf_counter()
+            arg = handle._arg
+            if arg is _NO_ARG:
                 callback()
             else:
-                t0 = perf_counter()
-                callback()
+                callback(arg)
+            if profiler is not None:
                 profiler.add("engine.dispatch", perf_counter() - t0)
             return True
         return False
@@ -143,7 +152,7 @@ class EventScheduler:
             The number of events executed by this call.
         """
         start = self.executed
-        while len(self):
+        while len(self._heap) > self._cancelled:  # live events remain
             if max_events is not None and self.executed - start >= max_events:
                 break
             if until is not None and until():

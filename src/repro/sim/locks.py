@@ -27,12 +27,7 @@ from typing import Deque, Dict, Optional, Tuple
 from ..machines.message import Message, MessageToken, MsgType, ParamPresence, QueueTag
 from ..protocols.base import ACQUIRE, Operation, RELEASE
 
-__all__ = ["LOCK_MESSAGE_TYPES", "LockClient", "LockManager"]
-
-#: message types routed to the lock subsystem instead of the protocols
-LOCK_MESSAGE_TYPES = frozenset(
-    {MsgType.LK_REQ, MsgType.LK_GNT, MsgType.UNLK}
-)
+__all__ = ["LockClient", "LockManager"]
 
 
 class LockClient:

@@ -282,6 +282,9 @@ class Metrics:
         #: redirected operations are never registered or counted — their
         #: traffic lands on the target's ``cache_cost``
         self._redirects: Dict[int, int] = {}
+        # one shared tuple per distinct signature entry: a finished run
+        # keeps every signature, so per-message tuples add up
+        self._signature_entries: Dict[Tuple[str, str], Tuple[str, str]] = {}
         #: read op ids classified as capacity misses at dispatch; their
         #: protocol refetch cost is reclassified into the cache share at
         #: completion
@@ -316,7 +319,9 @@ class Metrics:
 
     def record_message(self, msg: Message, cost: float) -> None:
         """Charge one message's cost to its operation (Network cost hook)."""
+        # enum ``_value_`` reads: ``.value`` is a Python-level property
         tracer = self.tracer
+        token = msg.token
         target = self._redirects.get(msg.op_id)
         if target is not None:
             # eviction traffic (write-back / departure notice): charge
@@ -328,22 +333,21 @@ class Metrics:
             self.cache.cost += cost
             if tracer is not None:
                 tracer.op_event("evict", target, cost=cost, src=msg.src,
-                                dst=msg.dst, detail=msg.token.type.value)
+                                dst=msg.dst, detail=token.type._value_)
             return
-        if msg.op_id is None or msg.op_id not in self._ops:
+        rec = self._ops.get(msg.op_id)
+        if rec is None:
             self.unattributed_cost += cost
             if tracer is not None:
                 tracer.op_event("send", None, cost=cost, src=msg.src, dst=msg.dst,
-                                detail=msg.token.type.value)
+                                detail=token.type._value_)
             return
-        rec = self._ops[msg.op_id]
         rec.cost += cost
-        rec.signature.append(
-            (msg.token.type.value, msg.token.parameter_presence.value)
-        )
+        entry = (token.type._value_, token.parameter_presence._value_)
+        rec.signature.append(self._signature_entries.setdefault(entry, entry))
         if tracer is not None:
             tracer.op_event("send", msg.op_id, cost=cost, src=msg.src, dst=msg.dst,
-                            detail=msg.token.type.value)
+                            detail=token.type._value_)
 
     def record_reliability_cost(self, op_id: Optional[int], cost: float,
                                 kind: str = "reliability") -> None:

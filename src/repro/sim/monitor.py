@@ -17,7 +17,8 @@ failovers:
   the most recently written value (initially 0).  The search is a greedy
   read-closure (taking an enabled read never forecloses a witness, so
   they are consumed eagerly) plus depth-first branching over the
-  possible write orders, memoized on the search state.
+  possible write orders, memoized on the search state, on an explicit
+  stack (the recursion limit does not bound the history length).
 
 Crash-awareness: a write that was *issued but never completed* (lost in
 flight, or re-driven traffic observed by some replica before a crash) may
@@ -254,9 +255,30 @@ class ConsistencyMonitor:
                         break
             return tuple(out)
 
-        def search(pos: Tuple[int, ...], current: object,
-                   used: int) -> bool:
-            nonlocal budget
+        def children(pos: Tuple[int, ...], current: object, used: int):
+            # the successor states of one search state, in visiting order
+            for i in range(n):
+                if pos[i] >= lengths[i]:
+                    continue
+                kind, value = sequences[i][pos[i]]
+                nxt = pos[:i] + (pos[i] + 1,) + pos[i + 1:]
+                if kind == WRITE:
+                    yield nxt, value, used
+                    continue
+                # a blocked read: it may be explained by materializing an
+                # unused phantom write just before it.
+                for j, phantom in enumerate(phantoms):
+                    if not used & (1 << j) and phantom == value:
+                        yield nxt, phantom, used | (1 << j)
+
+        # one stack level per write: recursion would overflow
+        stack = [iter([(tuple(0 for _ in sequences), 0, 0)])]
+        while stack:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+                continue
+            pos, current, used = state
             budget -= 1
             if budget <= 0:
                 raise _BudgetExhausted
@@ -265,28 +287,10 @@ class ConsistencyMonitor:
                 return True
             key = (pos, current, used)
             if key in seen:
-                return False
+                continue
             seen.add(key)
-            for i in range(n):
-                if pos[i] >= lengths[i]:
-                    continue
-                kind, value = sequences[i][pos[i]]
-                if kind == WRITE:
-                    nxt = pos[:i] + (pos[i] + 1,) + pos[i + 1:]
-                    if search(nxt, value, used):
-                        return True
-                else:
-                    # a blocked read: it may be explained by materializing
-                    # an unused phantom write just before it.
-                    for j, phantom in enumerate(phantoms):
-                        if used & (1 << j) or phantom != value:
-                            continue
-                        nxt = pos[:i] + (pos[i] + 1,) + pos[i + 1:]
-                        if search(nxt, phantom, used | (1 << j)):
-                            return True
-            return False
-
-        return search(tuple(0 for _ in sequences), 0, 0)
+            stack.append(children(pos, current, used))
+        return False
 
     def _history_slice(self, obj: int) -> Tuple[Tuple[int, str, object], ...]:
         entries: List[Tuple[int, str, object]] = []

@@ -37,13 +37,16 @@ from ..protocols.base import (
     ProtocolSpec,
 )
 from .cache import CacheConfig, ReplicaCache
-from .locks import LOCK_MESSAGE_TYPES, LockClient, LockManager
+from .locks import LockClient, LockManager
 from .pool import ReplicaPool
 from .channel import Network
 from .engine import EventScheduler
 from .metrics import Metrics
 
 __all__ = ["ClusterView", "ObjectPort", "SimNode"]
+
+# the lock subsystem's message types, for identity tests per message
+_LK_REQ, _LK_GNT, _UNLK = MsgType.LK_REQ, MsgType.LK_GNT, MsgType.UNLK
 
 
 class ClusterView:
@@ -82,6 +85,8 @@ class ObjectPort(ProcessContext):
         self.obj = obj
         #: the protocol process bound to this port (set by SimNode)
         self.process: Optional[ProtocolProcess] = None
+        # interned message tokens (see _message)
+        self._tokens: Dict[Tuple[str, str, int], MessageToken] = {}
         #: local request queue and its gate
         self.local_queue: Deque[Operation] = deque()
         self.local_enabled: bool = True
@@ -113,6 +118,20 @@ class ObjectPort(ProcessContext):
 
     # -- ProcessContext ---------------------------------------------------
 
+    def _message(self, dst: int, msg_type: MsgType, presence: ParamPresence,
+                 op_id: Optional[int], payload: Any,
+                 initiator: Optional[int]) -> Message:
+        """A message from this port, its token interned per (type,
+        presence, initiator): ``_value_`` keys, as enums hash in Python."""
+        if initiator is None:
+            initiator = self.node_id
+        key = (msg_type._value_, presence._value_, initiator)
+        token = self._tokens.get(key)
+        if token is None:
+            token = self._tokens[key] = MessageToken(
+                msg_type, initiator, self.obj, QueueTag.DISTRIBUTED, presence)
+        return Message(token, self.node_id, dst, payload, op_id)
+
     def send(
         self,
         dst: int,
@@ -122,16 +141,10 @@ class ObjectPort(ProcessContext):
         payload: Any = None,
         initiator: Optional[int] = None,
     ) -> None:
-        token = MessageToken(
-            type=msg_type,
-            operation_initiator=self.node_id if initiator is None else initiator,
-            object_name=self.obj,
-            queue=QueueTag.DISTRIBUTED,
-            parameter_presence=presence,
-        )
-        msg = Message(token=token, src=self.node_id, dst=dst,
-                      payload=payload, op_id=op_id)
-        self._node.network.send(msg, self._node.S, self._node.P)
+        node = self._node
+        node.network.send(
+            self._message(dst, msg_type, presence, op_id, payload, initiator),
+            node.S, node.P)
 
     def send_unordered(
         self,
@@ -150,17 +163,9 @@ class ObjectPort(ProcessContext):
             # ever retried or abandoned, so ordering cannot wedge).
             self.send(dst, msg_type, presence, op_id, payload, initiator)
             return
-        token = MessageToken(
-            type=msg_type,
-            operation_initiator=self.node_id if initiator is None else initiator,
-            object_name=self.obj,
-            queue=QueueTag.DISTRIBUTED,
-            parameter_presence=presence,
-        )
-        msg = Message(token=token, src=self.node_id, dst=dst,
-                      payload=payload, op_id=op_id)
-        network.send_unordered(msg, self._node.S, self._node.P,
-                               quorum=quorum, hedge=hedge)
+        network.send_unordered(
+            self._message(dst, msg_type, presence, op_id, payload, initiator),
+            self._node.S, self._node.P, quorum=quorum, hedge=hedge)
 
     def cancel_unordered(self, op_id: int) -> int:
         """Cancel this node's pending datagram retries for ``op_id``.
@@ -403,13 +408,14 @@ class SimNode:
         self.ports[obj].enqueue_request(op)
 
     def _on_message(self, msg: Message) -> None:
-        if msg.token.type in LOCK_MESSAGE_TYPES:
-            if msg.token.type is MsgType.LK_GNT:
-                self.lock_client.on_message(msg)
-            else:
-                self.lock_manager.on_message(msg)
-            return
-        self.ports[msg.token.object_name].deliver(msg)
+        token = msg.token
+        msg_type = token.type
+        if msg_type is _LK_GNT:
+            self.lock_client.on_message(msg)
+        elif msg_type is _LK_REQ or msg_type is _UNLK:
+            self.lock_manager.on_message(msg)
+        else:
+            self.ports[token.object_name].deliver(msg)
 
     def process_for(self, obj: int) -> ProtocolProcess:
         """The protocol process controlling this node's copy of ``obj``."""

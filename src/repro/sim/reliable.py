@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..machines.message import Message
 from ..util import reject_unknown_keys
@@ -138,9 +138,8 @@ class DeliveryViolation:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """Transport envelope carried by the physical fabric.
+class Frame(NamedTuple):
+    """Transport envelope carried by the physical fabric (immutable).
 
     ``kind`` is ``"data"`` (wraps a protocol :class:`Message`), ``"ack"``
     (bare acknowledgement token), ``"dgram"`` / ``"dack"`` (the unordered
@@ -173,12 +172,14 @@ class Frame:
 class _PendingSend:
     """Sender-side state for one unacknowledged data frame."""
 
-    __slots__ = ("frame", "S", "P", "attempts", "timer")
+    __slots__ = ("frame", "S", "P", "cost", "attempts", "timer")
 
     def __init__(self, frame: Frame, S: float, P: float):
         self.frame = frame
         self.S = S
         self.P = P
+        #: the frame's cost, computed once and charged per retransmission
+        self.cost = frame.cost(S, P)
         self.attempts = 0
         self.timer: Optional[TimerHandle] = None
 
@@ -236,9 +237,12 @@ class ReliableNetwork:
                                   _PendingSend] = {}
         self._dgram_seen: Dict[Tuple[int, int], Set[int]] = {}
 
-    def _tracer(self):
-        metrics = self.metrics
-        return metrics.tracer if metrics is not None else None
+    def _trace(self, kind: str, sent, detail: Optional[str] = None) -> None:
+        """Mirror a transport event on ``sent`` (frame or message)."""
+        tracer = self.metrics.tracer if self.metrics is not None else None
+        if tracer is not None:
+            tracer.op_event(kind, sent.op_id, src=sent.src, dst=sent.dst,
+                            detail=detail)
 
     # ------------------------------------------------------------------
     # Network interface
@@ -266,36 +270,21 @@ class ReliableNetwork:
 
     def send(self, msg: Message, S: float, P: float) -> float:
         """Send ``msg`` reliably; returns the first-attempt cost charged."""
-        if msg.src == msg.dst:
-            # intra-node: free and trivially reliable; bypass the transport.
-            frame = Frame("loop", msg.src, msg.dst, 0, msg=msg,
-                          op_id=msg.op_id)
-            return self.physical.send(frame, S, P)
-        if self.quarantined and msg.dst in self.quarantined:
-            # the destination is quarantined out of the cluster view:
-            # absorbing the send (no cost, no retries) is the whole point
-            # of quarantine — the rejoin resync replays what it missed.
-            if self.metrics is not None:
-                self.metrics.partition.sends_absorbed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("absorbed", msg.op_id, src=msg.src,
-                                    dst=msg.dst, detail="quarantined dst")
-            return 0.0
+        if msg.src == msg.dst or (self.quarantined
+                                  and msg.dst in self.quarantined):
+            return self._bypass(msg, S, P)
         channel = (msg.src, msg.dst)
-        seq = self._send_seq.get(channel, 0) + 1
-        self._send_seq[channel] = seq
-        frame = Frame("data", msg.src, msg.dst, seq, msg=msg, op_id=msg.op_id,
-                      epoch=self.epoch)
-        pending = _PendingSend(frame, S, P)
-        self._pending[(channel, seq)] = pending
-        cost = frame.cost(S, P)
+        seq = self._send_seq[channel] = self._send_seq.get(channel, 0) + 1
+        pending = self._pending[(channel, seq)] = _PendingSend(
+            Frame("data", msg.src, msg.dst, seq, msg, msg.op_id, self.epoch),
+            S, P)
+        cost = pending.cost
         if self.metrics is not None:
             # first attempt: charged exactly like the fault-free fabric
             # (cost class + trace-signature entry).
             self.metrics.record_message(msg, cost)
         self._transmit(pending, charge=False)
-        self._arm_timer(pending)
+        self._arm_timer(pending, self._on_timeout)
         return cost
 
     def send_unordered(self, msg: Message, S: float, P: float,
@@ -316,26 +305,15 @@ class ReliableNetwork:
         both cases no trace-signature entry, so signatures stay
         comparable to the fault-free runs).
         """
-        if msg.src == msg.dst:
-            frame = Frame("loop", msg.src, msg.dst, 0, msg=msg,
-                          op_id=msg.op_id)
-            return self.physical.send(frame, S, P)
-        if self.quarantined and msg.dst in self.quarantined:
-            if self.metrics is not None:
-                self.metrics.partition.sends_absorbed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("absorbed", msg.op_id, src=msg.src,
-                                    dst=msg.dst, detail="quarantined dst")
-            return 0.0
+        if msg.src == msg.dst or (self.quarantined
+                                  and msg.dst in self.quarantined):
+            return self._bypass(msg, S, P)
         channel = (msg.src, msg.dst)
-        seq = self._dgram_seq.get(channel, 0) + 1
-        self._dgram_seq[channel] = seq
-        frame = Frame("dgram", msg.src, msg.dst, seq, msg=msg,
-                      op_id=msg.op_id, epoch=self.epoch)
-        pending = _PendingSend(frame, S, P)
-        self._dgram_pending[(channel, seq)] = pending
-        cost = frame.cost(S, P)
+        seq = self._dgram_seq[channel] = self._dgram_seq.get(channel, 0) + 1
+        pending = self._dgram_pending[(channel, seq)] = _PendingSend(
+            Frame("dgram", msg.src, msg.dst, seq, msg, msg.op_id, self.epoch),
+            S, P)
+        cost = pending.cost
         if self.metrics is not None:
             if hedge:
                 self.metrics.record_hedge_cost(msg.op_id, cost)
@@ -344,8 +322,21 @@ class ReliableNetwork:
             else:
                 self.metrics.record_message(msg, cost)
         self._transmit(pending, charge=False)
-        self._arm_dgram_timer(pending)
+        self._arm_timer(pending, self._on_dgram_timeout)
         return cost
+
+    def _bypass(self, msg: Message, S: float, P: float) -> float:
+        if msg.src == msg.dst:
+            # intra-node: free and trivially reliable; bypass the transport.
+            return self.physical.send(
+                Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id), S, P)
+        # the destination is quarantined out of the cluster view:
+        # absorbing the send (no cost, no retries) is the whole point
+        # of quarantine — the rejoin resync replays what it missed.
+        if self.metrics is not None:
+            self.metrics.partition.sends_absorbed += 1
+        self._trace("absorbed", msg, "quarantined dst")
+        return 0.0
 
     def cancel_dgrams(self, src: int, op_id: int) -> int:
         """Void the pending datagram retries ``src`` holds for ``op_id``.
@@ -374,26 +365,22 @@ class ReliableNetwork:
     def _transmit(self, pending: _PendingSend, charge: bool) -> None:
         frame = pending.frame
         plan = self.physical.faults
-        if plan is not None and plan.is_down(frame.src, self.scheduler.now):
-            # the interface is dead: nothing leaves and nothing is charged;
-            # the retry timer keeps running and tries again after recovery.
-            self.physical.suppressed += 1
-            self._on_physical_fault("down_src")
-            return
-        if charge and self.metrics is not None:
+        if (charge and self.metrics is not None
+                and not (plan is not None
+                         and plan.is_down(frame.src, self.scheduler.now))):
             self.metrics.record_reliability_cost(
-                frame.op_id, frame.cost(pending.S, pending.P),
-                kind="retransmit",
+                frame.op_id, pending.cost, kind="retransmit",
             )
+        # a dead source interface sends nothing: the fabric suppresses and
+        # counts it, nothing is charged, and the retry timer keeps running
+        # and tries again after recovery.
         self.physical.send(frame, pending.S, pending.P)
 
-    def _arm_timer(self, pending: _PendingSend) -> None:
+    def _arm_timer(self, pending: _PendingSend, on_timeout: Callable) -> None:
         delay = backoff_delay(self.config.timeout, self.config.backoff,
                               pending.attempts)
         key = ((pending.frame.src, pending.frame.dst), pending.frame.seq)
-        pending.timer = self.scheduler.schedule(
-            delay, lambda: self._on_timeout(key)
-        )
+        pending.timer = self.scheduler.schedule(delay, on_timeout, key)
 
     def _on_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._pending.get(key)
@@ -431,28 +418,14 @@ class ReliableNetwork:
                 stats.delivery_failures += 1
                 if frame.op_id is not None:
                     stats.failed_op_ids.append(frame.op_id)
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event(
-                        "delivery_abandoned", frame.op_id,
-                        src=frame.src, dst=frame.dst,
-                        detail="seq %d after %d retries"
-                        % (frame.seq, pending.attempts),
-                    )
+            self._trace("delivery_abandoned", frame, "seq %d after %d retries"
+                        % (frame.seq, pending.attempts))
             return
         pending.attempts += 1
         if self.metrics is not None:
             self.metrics.reliability.retransmissions += 1
         self._transmit(pending, charge=True)
-        self._arm_timer(pending)
-
-    def _arm_dgram_timer(self, pending: _PendingSend) -> None:
-        delay = backoff_delay(self.config.timeout, self.config.backoff,
-                              pending.attempts)
-        key = ((pending.frame.src, pending.frame.dst), pending.frame.seq)
-        pending.timer = self.scheduler.schedule(
-            delay, lambda: self._on_dgram_timeout(key)
-        )
+        self._arm_timer(pending, self._on_timeout)
 
     def _on_dgram_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._dgram_pending.get(key)
@@ -465,21 +438,15 @@ class ReliableNetwork:
             del self._dgram_pending[key]
             if self.metrics is not None:
                 self.metrics.reliability.dgram_abandoned += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    frame = pending.frame
-                    tracer.op_event(
-                        "dgram_abandoned", frame.op_id,
-                        src=frame.src, dst=frame.dst,
-                        detail="seq %d after %d retries"
-                        % (frame.seq, pending.attempts),
-                    )
+            self._trace("dgram_abandoned", pending.frame,
+                        "seq %d after %d retries"
+                        % (pending.frame.seq, pending.attempts))
             return
         pending.attempts += 1
         if self.metrics is not None:
             self.metrics.reliability.retransmissions += 1
         self._transmit(pending, charge=True)
-        self._arm_dgram_timer(pending)
+        self._arm_timer(pending, self._on_dgram_timeout)
 
     # ------------------------------------------------------------------
     # receiver side
@@ -495,45 +462,32 @@ class ReliableNetwork:
             profiler.add("reliable.on_frame", perf_counter() - t0)
 
     def _handle_frame(self, frame: Frame) -> None:
-        if frame.kind == "loop":
+        kind = frame.kind
+        if kind == "loop":
             self._handlers[frame.dst](frame.msg)
             return
         if frame.epoch < self.epoch:
             # voided traffic from a previous view: never deliver or ack it.
             if self.metrics is not None:
                 self.metrics.recovery.stale_frames_dropped += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("stale_frame_dropped", frame.op_id,
-                                    src=frame.src, dst=frame.dst,
-                                    detail="epoch %d < %d"
-                                    % (frame.epoch, self.epoch))
+            self._trace("stale_frame_dropped", frame,
+                        "epoch %d < %d" % (frame.epoch, self.epoch))
             return
-        if frame.kind == "ack":
-            # the acked data channel is the reverse of the ack's path.
-            key = ((frame.dst, frame.src), frame.seq)
-            pending = self._pending.pop(key, None)
+        if kind == "ack" or kind == "dack":
+            # the acked channel is the reverse of the ack's path.
+            pending = (self._pending if kind == "ack"
+                       else self._dgram_pending).pop(
+                ((frame.dst, frame.src), frame.seq), None)
             if pending is not None and pending.timer is not None:
                 pending.timer.cancel()
             return
-        if frame.kind == "dack":
-            key = ((frame.dst, frame.src), frame.seq)
-            pending = self._dgram_pending.pop(key, None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
-            return
-        if frame.kind == "dgram":
+        if kind == "dgram":
             channel = (frame.src, frame.dst)
             # always dack, even duplicates: the previous dack may be lost.
             self._send_ack(frame, kind="dack")
             seen = self._dgram_seen.setdefault(channel, set())
             if frame.seq in seen:
-                if self.metrics is not None:
-                    self.metrics.reliability.duplicates_suppressed += 1
-                    tracer = self.metrics.tracer
-                    if tracer is not None:
-                        tracer.op_event("dup_suppressed", frame.op_id,
-                                        src=frame.src, dst=frame.dst)
+                self._suppress_duplicate(frame)
                 return
             seen.add(frame.seq)
             # unordered: deliver immediately, no FIFO gating.
@@ -545,22 +499,13 @@ class ReliableNetwork:
         expected = self._expected.get(channel, 1)
         buffer = self._reorder.get(channel)
         if frame.seq < expected or (buffer and frame.seq in buffer):
-            if self.metrics is not None:
-                self.metrics.reliability.duplicates_suppressed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("dup_suppressed", frame.op_id,
-                                    src=frame.src, dst=frame.dst)
+            self._suppress_duplicate(frame)
             return
         if frame.seq > expected:
             if self.metrics is not None:
                 self.metrics.reliability.out_of_order_held += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("reorder_hold", frame.op_id,
-                                    src=frame.src, dst=frame.dst,
-                                    detail="seq %d expected %d"
-                                    % (frame.seq, expected))
+            self._trace("reorder_hold", frame,
+                        "seq %d expected %d" % (frame.seq, expected))
             self._reorder.setdefault(channel, {})[frame.seq] = frame.msg
             return
         # in order: deliver, then drain the reorder buffer behind it.
@@ -571,16 +516,21 @@ class ReliableNetwork:
             expected += 1
         self._expected[channel] = expected
 
+    def _suppress_duplicate(self, frame: Frame) -> None:
+        if self.metrics is not None:
+            self.metrics.reliability.duplicates_suppressed += 1
+        self._trace("dup_suppressed", frame)
+
     def _deliver(self, dst: int, msg: Message) -> None:
-        tracer = self._tracer()
+        tracer = self.metrics.tracer if self.metrics is not None else None
         if tracer is not None:
             tracer.op_event("deliver", msg.op_id, src=msg.src, dst=dst,
                             detail=msg.token.type.value)
         self._handlers[dst](msg)
 
     def _send_ack(self, data: Frame, kind: str = "ack") -> None:
-        ack = Frame(kind, data.dst, data.src, data.seq, op_id=data.op_id,
-                    epoch=self.epoch)
+        ack = Frame(kind, data.dst, data.src, data.seq, None, data.op_id,
+                    self.epoch)
         if self.metrics is not None:
             self.metrics.reliability.acks += 1
             self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")

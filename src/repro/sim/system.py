@@ -806,9 +806,7 @@ class DSMSystem:
                 obj=obj,
                 params=self._next_op_id,
             )
-            self.scheduler.schedule_at(
-                t, (lambda o=op: self.nodes[o.node].submit(o))
-            )
+            self.scheduler.schedule_at(t, self.nodes[node].submit, op)
         self.scheduler.run(max_events=config.max_events)
         incomplete = max(0, num_ops - self.metrics.completed_count)
         lost = self.metrics.recovery.ops_lost

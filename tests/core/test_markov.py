@@ -63,6 +63,30 @@ class TestStationary:
 
         assert solve_chain(0, tr) == pytest.approx(2.0)
 
+    def test_decomposed_chain_weighs_classes_by_absorption(self):
+        # transient 0 enters the absorbing 1 or the 2-cycle {2, 3}; the
+        # direct solve is singular, and transient mass must be exactly 0
+        P = np.array([[0.5, 0.125, 0.375, 0.0],
+                      [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        pi = stationary_distribution(P)
+        assert pi[0] == 0.0
+        assert pi == pytest.approx([0.0, 0.25, 0.375, 0.375])
+
+    def test_transient_state_draining_at_machine_epsilon(self):
+        # 0 and 1 are transient (1 drains at 1e-16 into the absorbing 2,
+        # 0 also into the absorbing 3): the slow drain must not leave
+        # mass behind on the transient states
+        eps = 1.1102230246251565e-16
+        P = np.array([[0.25, 0.5, 0.0, 0.25],
+                      [0.0, 1.0 - eps, eps, 0.0],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        pi = stationary_distribution(P)
+        assert pi[0] == 0.0 and pi[1] == 0.0
+        assert pi == pytest.approx([0.0, 0.0, 2 / 3, 1 / 3])
+
     def test_bad_row_sum_rejected(self):
         def tr(s):
             return [(0.5, 0.0, s)]

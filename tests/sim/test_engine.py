@@ -1,8 +1,19 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.machines.message import (
+    Message,
+    MessageToken,
+    MsgType,
+    ParamPresence,
+    QueueTag,
+)
 from repro.sim.engine import EventScheduler
+from repro.sim.reliable import Frame
 
 
 class TestScheduling:
@@ -123,6 +134,79 @@ class TestTimerCancellation:
         handle.cancel()
         sched.run()
         assert fired == [] and sched.now == 0.0
+
+
+class TestCallbackArgument:
+    @pytest.mark.parametrize("push", ["schedule", "schedule_at"])
+    @pytest.mark.parametrize("arg", [None, 0, (), ("msg", 3), "x"])
+    def test_push_passes_exactly_its_argument(self, push, arg):
+        sched = EventScheduler()
+        got = []
+        getattr(sched, push)(2.0, lambda *args: got.append(args), arg)
+        sched.run()
+        assert len(got) == 1 and len(got[0]) == 1 and got[0][0] is arg
+
+    def test_without_an_argument_the_callback_gets_no_argument(self):
+        sched = EventScheduler()
+        got = []
+        sched.schedule(1.0, lambda *args: got.append(args))
+        sched.schedule_at(1.0, lambda *args: got.append(args))
+        sched.run()
+        assert got == [(), ()]
+
+    def test_cancel_drops_the_argument(self):
+        class Payload:
+            pass
+
+        sched = EventScheduler()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        handle = sched.schedule(1.0, lambda p: None, payload)
+        sched.schedule(2.0, lambda p: None, "kept")
+        del payload
+        assert len(sched) == 2
+        assert handle.cancel() is True
+        gc.collect()
+        assert ref() is None  # the parked heap entry no longer holds it
+        assert len(sched) == 1
+        assert sched.run() == 1 and len(sched) == 0
+
+    def test_same_time_events_fire_in_schedule_order(self):
+        sched = EventScheduler()
+        fired = []
+        for i in range(12):
+            if i % 3 == 0:
+                sched.schedule(1.0, lambda i=i: fired.append(i))
+            elif i % 3 == 1:
+                sched.schedule(1.0, fired.append, i)
+            else:
+                sched.schedule_at(1.0, fired.append, i)
+        sched.run()
+        assert fired == list(range(12))
+
+
+class TestImmutableEventArguments:
+    """Messages and frames ride on heap entries; they must not change."""
+
+    def test_message_rejects_attribute_assignment(self):
+        token = MessageToken(MsgType.R_PER, 1, 1, QueueTag.DISTRIBUTED,
+                             ParamPresence.NONE)
+        msg = Message(token, 1, 2, payload=7, op_id=3)
+        for field, value in (("dst", 5), ("payload", 8), ("op_id", None)):
+            with pytest.raises(AttributeError):
+                setattr(msg, field, value)
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+        assert msg == Message(token, 1, 2, 7, 3)
+
+    def test_frame_rejects_attribute_assignment(self):
+        frame = Frame("ack", 2, 1, 4, None, 3, 0)
+        for field, value in (("seq", 5), ("epoch", 1), ("kind", "data")):
+            with pytest.raises(AttributeError):
+                setattr(frame, field, value)
+        with pytest.raises(AttributeError):
+            frame.extra = 1
+        assert frame == Frame("ack", 2, 1, 4, op_id=3)
 
 
 class TestRunControl:

@@ -1,7 +1,10 @@
 """Unit tests for the runtime consistency monitor (SC witness search)."""
 
+import sys
+
 import pytest
 
+from repro.cli import main
 from repro.protocols.base import Operation
 from repro.sim import ConsistencyMonitor, ConsistencyViolation
 
@@ -107,6 +110,28 @@ class TestWitnessSearch:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             ConsistencyMonitor(step_budget=0)
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        """The search goes one level deeper per write; the explicit stack
+        lets it go past the interpreter's recursion limit."""
+        writes = sys.getrecursionlimit() + 500
+        m = ConsistencyMonitor()
+        record(m, *(op(i, 1 + i % 2, "write", i) for i in range(1, writes)),
+               op(writes, 3, "read", writes - 1))
+        assert m.check_object(1) is None
+        assert m.inconclusive == 0
+
+
+class TestLongMonitoredRun:
+    def test_cli_default_ops_monitored_run_is_clean(self, capsys):
+        """The CLI's default 4,000-op run: about 1,000 writes to one
+        object, which overflowed a recursive witness search."""
+        code = main(["simulate", "firefly", "--N", "10", "--a", "5",
+                     "--p", "0.3", "--sigma", "0.1", "--deviation", "read",
+                     "--ops", "4000", "--monitor"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "consistency     = ok" in out
 
 
 class TestDegradedReadExemption:
