@@ -17,6 +17,14 @@ Runnable both as a script (CI's perf-smoke job) and under pytest::
 committed baseline and fails (exit 1) on a regression beyond the
 baseline's tolerance — the guard that keeps the zero-overhead-when-
 disabled promise honest.
+
+``--fabric lossy`` is the reliable-fabric rung: the same workload with
+tracing off over the reliable transport and a lossy wire (1% drop, 0.5%
+duplication, 0.5 jitter, fault seed 11), checked against its own
+baseline so a slower reliable path fails the gate too::
+
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --fabric lossy \
+        --baseline benchmarks/baselines/obs_overhead_lossy.json --check
 """
 
 from __future__ import annotations
@@ -29,13 +37,20 @@ from time import perf_counter
 
 from repro.core import WorkloadParams
 from repro.obs import TraceConfig
-from repro.sim import DSMSystem, RunConfig
+from repro.sim import DSMSystem, FaultPlan, RunConfig
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=8, p=0.3, a=6, sigma=0.1, S=100.0, P=30.0)
 
 #: default regression tolerance when the baseline file does not set one
 DEFAULT_TOLERANCE = 0.25
+
+#: fabric rungs: name -> a fresh fault plan per run (None: the plain fabric)
+FABRICS = {
+    "plain": lambda: None,
+    "lossy": lambda: FaultPlan(seed=11, drop_rate=0.01, duplicate_rate=0.005,
+                               jitter=0.5),
+}
 
 
 def calibrate(iterations: int = 2_000_000) -> float:
@@ -50,7 +65,7 @@ def calibrate(iterations: int = 2_000_000) -> float:
     return best
 
 
-def run_mode(tracing, ops: int, repeats: int) -> dict:
+def run_mode(tracing, ops: int, repeats: int, fabric: str = "plain") -> dict:
     """Best-of-``repeats`` wall-clock for one tracing mode."""
     workload = read_disturbance_workload(PARAMS, M=4)
     config = RunConfig(ops=ops, warmup=ops // 6, seed=1, mean_gap=10.0,
@@ -59,7 +74,8 @@ def run_mode(tracing, ops: int, repeats: int) -> dict:
     events = spans = 0
     for _ in range(repeats):
         system = DSMSystem("berkeley", N=PARAMS.N, M=4, S=PARAMS.S,
-                           P=PARAMS.P, tracing=tracing)
+                           P=PARAMS.P, tracing=tracing,
+                           faults=FABRICS[fabric]())
         start = perf_counter()
         result = system.run_workload(workload, config)
         best = min(best, perf_counter() - start)
@@ -69,20 +85,25 @@ def run_mode(tracing, ops: int, repeats: int) -> dict:
     return {"seconds": best, "events_executed": events, "spans": spans}
 
 
-def run_benchmark(ops: int, repeats: int) -> list:
-    """One row per mode, overheads relative to the disabled mode."""
+def run_benchmark(ops: int, repeats: int, fabric: str = "plain") -> list:
+    """One row per mode, overheads relative to the disabled mode.
+
+    The plain fabric runs all three tracing modes; the lossy rung only
+    the disabled one (it gates the reliable path, not the tracer).
+    """
     unit = calibrate()
-    modes = [
-        ("disabled", None),
-        ("sample_every=1", TraceConfig(sample_every=1)),
-        ("sample_every=100", TraceConfig(sample_every=100)),
-    ]
+    modes = [("disabled", None)]
+    if fabric == "plain":
+        modes += [("sample_every=1", TraceConfig(sample_every=1)),
+                  ("sample_every=100", TraceConfig(sample_every=100))]
     rows = []
     base_seconds = None
     for name, tracing in modes:
         row = {"mode": name, "ops": ops, "repeats": repeats,
                "calibration_s": unit}
-        row.update(run_mode(tracing, ops, repeats))
+        if fabric != "plain":
+            row["fabric"] = fabric
+        row.update(run_mode(tracing, ops, repeats, fabric))
         row["normalized"] = row["seconds"] / unit
         if base_seconds is None:
             base_seconds = row["seconds"]
@@ -98,6 +119,12 @@ def run_benchmark(ops: int, repeats: int) -> list:
 def check_baseline(rows: list, baseline_path: Path) -> int:
     """Compare the disabled-mode normalized runtime to the baseline."""
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    expected_fabric = baseline.get("fabric", "plain")
+    fabric = rows[0].get("fabric", "plain")
+    if fabric != expected_fabric:
+        print(f"error: baseline was recorded on the {expected_fabric} "
+              f"fabric, this run used {fabric}", file=sys.stderr)
+        return 2
     expected_ops = baseline.get("ops")
     if expected_ops is not None and rows[0]["ops"] != expected_ops:
         print(f"error: baseline was recorded at ops={expected_ops}, "
@@ -128,9 +155,13 @@ def main(argv=None) -> int:
                         help="baseline JSON for --check")
     parser.add_argument("--check", action="store_true",
                         help="fail on regression vs --baseline")
+    parser.add_argument("--fabric", choices=sorted(FABRICS), default="plain",
+                        help="plain: all tracing modes on the fault-free "
+                             "fabric; lossy: tracing off over the reliable "
+                             "transport on a lossy wire")
     args = parser.parse_args(argv)
 
-    rows = run_benchmark(args.ops, args.repeats)
+    rows = run_benchmark(args.ops, args.repeats, args.fabric)
     for row in rows:
         print(f"{row['mode']:18s} {row['seconds'] * 1e3:9.2f} ms "
               f"(normalized {row['normalized']:.3f}, "

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..util import reject_unknown_keys
 
@@ -355,6 +355,19 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # per-transmission decisions (consume the RNG stream in call order)
     # ------------------------------------------------------------------
+
+    def wire_inputs(self) -> Tuple[float, float, float, Callable[[], float]]:
+        """``(drop_rate, duplicate_rate, jitter, draw)`` for a fabric that
+        makes all of a transmission's decisions in one pass.
+
+        ``draw`` is the bound ``random()`` of this plan's stream.  Rolling
+        ``draw() < rate`` for a nonzero rate and ``jitter * draw()`` for a
+        nonzero jitter consumes the stream exactly as :meth:`should_drop`,
+        :meth:`should_duplicate` and :meth:`jitter_for` do
+        (``uniform(0, j)`` is ``j * random()`` bit for bit).
+        """
+        return (self.drop_rate, self.duplicate_rate, self.jitter,
+                self._rng.random)
 
     def should_drop(self, src: int, dst: int) -> bool:
         """Decide whether this transmission on ``src -> dst`` is lost."""

@@ -43,7 +43,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..util import reject_unknown_keys
 from .engine import EventScheduler
@@ -353,16 +354,37 @@ class PartitionPlan:
     # per-transmission decisions (consume the RNG stream in call order)
     # ------------------------------------------------------------------
 
-    def _active(self, src: int, dst: int, time: float) -> List[LinkFault]:
-        return [
-            f for f in self.links
-            if f.src == src and f.dst == dst and f.covers(time)
-        ]
+    def link_rates(self, src: int, dst: int,
+                   time: float) -> Tuple[float, float, float]:
+        """Effective ``(drop_rate, duplicate_rate, jitter)`` of the
+        directed link at ``time``: the maximum over its active faults
+        (all zero on a healthy link; no RNG consumed)."""
+        drop = dup = jitter = 0.0
+        for f in self.links:
+            if f.src == src and f.dst == dst and f.covers(time):
+                drop = max(drop, f.drop_rate)
+                dup = max(dup, f.duplicate_rate)
+                jitter = max(jitter, f.jitter)
+        return drop, dup, jitter
+
+    def wire_inputs(self) -> Tuple[Callable[[int, int, float],
+                                            Tuple[float, float, float]],
+                                   Callable[[], float]]:
+        """``(link_rates, draw)`` for a fabric that makes all of a
+        transmission's decisions in one pass.
+
+        ``draw`` is the bound ``random()`` of this plan's stream.  A full
+        cut (``drop >= 1``) is decided without a draw; otherwise rolling
+        ``draw() < rate`` for a positive rate and ``jitter * draw()`` for
+        a positive jitter consumes the stream exactly as
+        :meth:`should_drop`, :meth:`should_duplicate` and
+        :meth:`jitter_for` do.
+        """
+        return self.link_rates, self._rng.random
 
     def drop_probability(self, src: int, dst: int, time: float) -> float:
         """The effective link loss rate at ``time`` (no RNG consumed)."""
-        active = self._active(src, dst, time)
-        return max((f.drop_rate for f in active), default=0.0)
+        return self.link_rates(src, dst, time)[0]
 
     def is_cut(self, src: int, dst: int, time: float) -> bool:
         """Whether the directed link is fully severed at ``time``."""
@@ -383,16 +405,14 @@ class PartitionPlan:
 
     def should_duplicate(self, src: int, dst: int, time: float) -> bool:
         """Decide whether this transmission is delivered twice."""
-        active = self._active(src, dst, time)
-        rate = max((f.duplicate_rate for f in active), default=0.0)
+        rate = self.link_rates(src, dst, time)[1]
         if rate <= 0.0:
             return False
         return self._rng.random() < rate
 
     def jitter_for(self, src: int, dst: int, time: float) -> float:
         """Extra delivery delay from link faults for one delivery."""
-        active = self._active(src, dst, time)
-        jitter = max((f.jitter for f in active), default=0.0)
+        jitter = self.link_rates(src, dst, time)[2]
         if jitter <= 0.0:
             return 0.0
         return self._rng.uniform(0.0, jitter)

@@ -144,9 +144,10 @@ class Frame(NamedTuple):
     ``kind`` is ``"data"`` (wraps a protocol :class:`Message`), ``"ack"``
     (bare acknowledgement token), ``"dgram"`` / ``"dack"`` (the unordered
     datagram mode used by quorum protocols) or ``"loop"`` (intra-node
-    bypass).  The
-    ``cost``/``src``/``dst`` surface lets a frame travel through
-    :class:`~repro.sim.channel.Network` like any message.  ``epoch`` is
+    bypass).  A frame is priced once by :meth:`cost` when it is first
+    sent and goes on the wire through the cost-free
+    :meth:`Network.transmit <repro.sim.channel.Network.transmit>`, which
+    needs only its ``src``/``dst``.  ``epoch`` is
     the sender's view-change epoch (:meth:`ReliableNetwork.advance_epoch`);
     receivers drop frames from earlier epochs so traffic voided by a crash
     recovery cannot be delivered into the new view.
@@ -172,12 +173,10 @@ class Frame(NamedTuple):
 class _PendingSend:
     """Sender-side state for one unacknowledged data frame."""
 
-    __slots__ = ("frame", "S", "P", "cost", "attempts", "timer")
+    __slots__ = ("frame", "cost", "attempts", "timer")
 
     def __init__(self, frame: Frame, S: float, P: float):
         self.frame = frame
-        self.S = S
-        self.P = P
         #: the frame's cost, computed once and charged per retransmission
         self.cost = frame.cost(S, P)
         self.attempts = 0
@@ -264,9 +263,17 @@ class ReliableNetwork:
         return self.physical.partitions
 
     def attach(self, node_id: int, handler: Callable[[Message], None]) -> None:
-        """Register the delivery handler for a node."""
+        """Register the delivery handler for a node.
+
+        Frames reach :meth:`_on_frame` straight from the fabric; when the
+        scheduler carries a profiler at attach time they go through
+        :meth:`_on_frame_timed` instead, which times the same work under
+        the ``reliable.on_frame`` scope.
+        """
         self._handlers[node_id] = handler
-        self.physical.attach(node_id, self._on_frame)
+        self.physical.attach(node_id, self._on_frame
+                             if self.scheduler.profiler is None
+                             else self._on_frame_timed)
 
     def send(self, msg: Message, S: float, P: float) -> float:
         """Send ``msg`` reliably; returns the first-attempt cost charged."""
@@ -283,7 +290,7 @@ class ReliableNetwork:
             # first attempt: charged exactly like the fault-free fabric
             # (cost class + trace-signature entry).
             self.metrics.record_message(msg, cost)
-        self._transmit(pending, charge=False)
+        self.physical.transmit(pending.frame)
         self._arm_timer(pending, self._on_timeout)
         return cost
 
@@ -321,15 +328,16 @@ class ReliableNetwork:
                 self.metrics.record_quorum_cost(msg.op_id, cost)
             else:
                 self.metrics.record_message(msg, cost)
-        self._transmit(pending, charge=False)
+        self.physical.transmit(pending.frame)
         self._arm_timer(pending, self._on_dgram_timeout)
         return cost
 
     def _bypass(self, msg: Message, S: float, P: float) -> float:
         if msg.src == msg.dst:
             # intra-node: free and trivially reliable; bypass the transport.
-            return self.physical.send(
-                Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id), S, P)
+            self.physical.transmit(
+                Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id))
+            return 0.0
         # the destination is quarantined out of the cluster view:
         # absorbing the send (no cost, no retries) is the whole point
         # of quarantine — the rejoin resync replays what it missed.
@@ -362,25 +370,27 @@ class ReliableNetwork:
     # sender side
     # ------------------------------------------------------------------
 
-    def _transmit(self, pending: _PendingSend, charge: bool) -> None:
+    def _retransmit(self, pending: _PendingSend) -> None:
+        pending.attempts += 1
         frame = pending.frame
-        plan = self.physical.faults
-        if (charge and self.metrics is not None
-                and not (plan is not None
-                         and plan.is_down(frame.src, self.scheduler.now))):
-            self.metrics.record_reliability_cost(
-                frame.op_id, pending.cost, kind="retransmit",
-            )
-        # a dead source interface sends nothing: the fabric suppresses and
-        # counts it, nothing is charged, and the retry timer keeps running
-        # and tries again after recovery.
-        self.physical.send(frame, pending.S, pending.P)
+        physical = self.physical
+        if self.metrics is not None:
+            self.metrics.reliability.retransmissions += 1
+            # a dead source interface sends nothing: the fabric suppresses
+            # and counts it, nothing is charged, and the retry timer keeps
+            # running and tries again after recovery.
+            if not physical.is_down(frame.src):
+                self.metrics.record_reliability_cost(
+                    frame.op_id, pending.cost, kind="retransmit",
+                )
+        physical.transmit(frame)
 
     def _arm_timer(self, pending: _PendingSend, on_timeout: Callable) -> None:
-        delay = backoff_delay(self.config.timeout, self.config.backoff,
-                              pending.attempts)
-        key = ((pending.frame.src, pending.frame.dst), pending.frame.seq)
-        pending.timer = self.scheduler.schedule(delay, on_timeout, key)
+        frame = pending.frame
+        pending.timer = self.scheduler.schedule(
+            backoff_delay(self.config.timeout, self.config.backoff,
+                          pending.attempts),
+            on_timeout, ((frame.src, frame.dst), frame.seq))
 
     def _on_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._pending.get(key)
@@ -390,14 +400,12 @@ class ReliableNetwork:
             # retry budget exhausted: abandon the send and surface it.
             del self._pending[key]
             frame = pending.frame
-            plan = self.physical.faults
             handled = (
                 # abandonment toward a crashed or quarantined node is the
                 # *intended* degradation — the recovery subsystem resyncs
                 # the node at rejoin — so only exhaustion toward a live,
                 # in-view destination is a reliability-contract violation.
-                (plan is not None
-                 and plan.is_down(frame.dst, self.scheduler.now))
+                self.physical.is_down(frame.dst)
                 or (self.quarantined is not None
                     and frame.dst in self.quarantined)
             )
@@ -421,10 +429,7 @@ class ReliableNetwork:
             self._trace("delivery_abandoned", frame, "seq %d after %d retries"
                         % (frame.seq, pending.attempts))
             return
-        pending.attempts += 1
-        if self.metrics is not None:
-            self.metrics.reliability.retransmissions += 1
-        self._transmit(pending, charge=True)
+        self._retransmit(pending)
         self._arm_timer(pending, self._on_timeout)
 
     def _on_dgram_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
@@ -442,27 +447,29 @@ class ReliableNetwork:
                         "seq %d after %d retries"
                         % (pending.frame.seq, pending.attempts))
             return
-        pending.attempts += 1
-        if self.metrics is not None:
-            self.metrics.reliability.retransmissions += 1
-        self._transmit(pending, charge=True)
+        self._retransmit(pending)
         self._arm_timer(pending, self._on_dgram_timeout)
 
     # ------------------------------------------------------------------
     # receiver side
     # ------------------------------------------------------------------
 
-    def _on_frame(self, frame: Frame) -> None:
-        profiler = self.scheduler.profiler
-        if profiler is None:
-            self._handle_frame(frame)
-        else:
-            t0 = perf_counter()
-            self._handle_frame(frame)
-            profiler.add("reliable.on_frame", perf_counter() - t0)
+    def _on_frame_timed(self, frame: Frame) -> None:
+        t0 = perf_counter()
+        self._on_frame(frame)
+        self.scheduler.profiler.add("reliable.on_frame", perf_counter() - t0)
 
-    def _handle_frame(self, frame: Frame) -> None:
+    def _on_frame(self, frame: Frame) -> None:
         kind = frame.kind
+        if (kind == "ack" or kind == "dack") and frame.epoch == self.epoch:
+            # acks are the commonest frame, so they settle first; the
+            # acked channel is the reverse of the ack's path.
+            pending = (self._pending if kind == "ack"
+                       else self._dgram_pending).pop(
+                ((frame.dst, frame.src), frame.seq), None)
+            if pending is not None:
+                pending.timer.cancel()
+            return
         if kind == "loop":
             self._handlers[frame.dst](frame.msg)
             return
@@ -472,14 +479,6 @@ class ReliableNetwork:
                 self.metrics.recovery.stale_frames_dropped += 1
             self._trace("stale_frame_dropped", frame,
                         "epoch %d < %d" % (frame.epoch, self.epoch))
-            return
-        if kind == "ack" or kind == "dack":
-            # the acked channel is the reverse of the ack's path.
-            pending = (self._pending if kind == "ack"
-                       else self._dgram_pending).pop(
-                ((frame.dst, frame.src), frame.seq), None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
             return
         if kind == "dgram":
             channel = (frame.src, frame.dst)
@@ -529,13 +528,12 @@ class ReliableNetwork:
         self._handlers[dst](msg)
 
     def _send_ack(self, data: Frame, kind: str = "ack") -> None:
-        ack = Frame(kind, data.dst, data.src, data.seq, None, data.op_id,
-                    self.epoch)
         if self.metrics is not None:
             self.metrics.reliability.acks += 1
-            self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")
-        # ack cost is presence-independent (a bare token), so S/P are moot.
-        self.physical.send(ack, 0.0, 0.0)
+            # a bare token: cost 1 whatever the presence
+            self.metrics.record_reliability_cost(data.op_id, 1.0, kind="ack")
+        self.physical.transmit(Frame(kind, data.dst, data.src, data.seq, None,
+                                     data.op_id, self.epoch))
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -115,6 +115,42 @@ class TestFaultyFabric:
         net = Network(sched, faults=FaultPlan.none())
         assert net.faults is None
 
+    def test_assigned_no_fault_plans_keep_the_fifo_checked_path(self):
+        """Regression: a plan assigned after construction skipped the
+        normalization, so ``FaultPlan.none()`` sent every message down
+        the fault path with the FIFO check off."""
+        from repro.sim.faults import FaultPlan
+        from repro.sim.partition import PartitionPlan
+        sched = EventScheduler()
+        net = Network(sched, faults=FaultPlan(seed=0, drop_rate=1.0))
+        got = []
+        net.attach(2, lambda m: got.append(m.payload))
+        net.faults = FaultPlan.none()
+        net.partitions = PartitionPlan.none()
+        assert net.faults is None and net.partitions is None
+        for i in range(3):
+            net.send(msg(1, 2, payload=i), 100, 30)
+        sched.run()
+        assert got == [0, 1, 2] and net.dropped == 0
+        # the plain path's per-channel FIFO bookkeeping saw every message
+        assert net._sent_seq == {(1, 2): 3}
+        assert net._delivered_seq == {(1, 2): 3}
+
+    def test_plan_assigned_after_construction_takes_effect(self):
+        from repro.sim.faults import FaultPlan
+        from repro.sim.partition import PartitionPlan, cut
+        sched = EventScheduler()
+        net = Network(sched)
+        got = []
+        net.attach(2, got.append)
+        net.faults = FaultPlan(seed=0, drop_rate=1.0)
+        net.send(msg(1, 2), 100, 30)
+        net.faults = None
+        net.partitions = PartitionPlan(links=cut(1, 2))
+        net.send(msg(1, 2), 100, 30)
+        sched.run()
+        assert got == [] and net.dropped == 2
+
     def test_drops_lose_messages_but_charge_cost(self):
         from repro.sim.faults import FaultPlan
         sched = EventScheduler()
