@@ -6,10 +6,11 @@ system parameters, such as the size of the free memory pool."
 
 Two views of the question:
 
-* **simulation** — clients with a finite LRU replica pool run a multi-object
-  workload; as the pool shrinks below the working set, evictions force
-  write-backs and re-fetch misses and the cost per data operation climbs
-  (the classic capacity-miss curve);
+* **simulation** — clients with a bounded LRU replica cache (the finite
+  pool) run a multi-object workload; as the cache shrinks below the working
+  set, evictions force write-backs and re-fetch misses and ``acc`` — the
+  cost per data operation, since eviction traffic is charged to the data
+  operation that forced it — climbs (the classic capacity-miss curve);
 * **analysis** — the eject-extended Markov chains sweep the stationary
   eviction pressure; the analytic Write-Through closed form with ejects is
   cross-checked against the chain.
@@ -18,7 +19,7 @@ Two views of the question:
 
 from repro.core.ejection import ejecting_markov_acc
 from repro.core.parameters import Deviation, WorkloadParams
-from repro.sim import DSMSystem, RunConfig
+from repro.sim import CacheConfig, DSMSystem, RunConfig
 from repro.workloads import read_disturbance_workload
 
 from .conftest import emit
@@ -31,30 +32,28 @@ def run_capacity_sweep():
     rows = []
     for capacity in (1, 2, 4, 6, 8):
         system = DSMSystem("write_through", N=PARAMS.N, M=M, S=PARAMS.S,
-                           P=PARAMS.P, capacity=capacity)
+                           P=PARAMS.P, cache=CacheConfig(capacity, "lru"))
         workload = read_disturbance_workload(PARAMS, M=M)
-        system.run_workload(
+        result = system.run_workload(
             workload, RunConfig(ops=4000, warmup=800, seed=3,
                                 mean_gap=10.0))
         system.check_coherence()
-        evictions = sum(n.pool.evictions for n in system.nodes.values()
-                        if n.pool)
-        rows.append((capacity, system.data_cost_rate(800), evictions))
+        rows.append((capacity, result.acc, result.metrics.cache.evictions))
     return rows
 
 
 def test_capacity_miss_curve(benchmark, results_dir):
     rows = benchmark.pedantic(run_capacity_sweep, rounds=1, iterations=1)
-    lines = ["replica-pool capacity sweep (write_through, M=8 objects)",
+    lines = ["replica-cache capacity sweep (write_through, M=8 objects, lru)",
              f"{'capacity':>9} {'cost/data-op':>14} {'evictions':>10}"]
     for cap, rate, ev in rows:
         lines.append(f"{cap:9d} {rate:14.3f} {ev:10d}")
     emit(results_dir, "memory_pool_capacity.txt", "\n".join(lines))
-    # the capacity-miss curve: shrinking the pool can only cost more
+    # the capacity-miss curve: shrinking the cache can only cost more
     rates = [rate for _c, rate, _e in rows]
     assert rates[0] >= rates[-1]
     assert rates[0] > rates[-1] * 1.05  # thrashing is actually visible
-    # a pool covering the whole working set evicts nothing
+    # a cache covering the whole working set evicts nothing
     assert rows[-1][2] == 0
 
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Memory pressure: the "size of the free memory pool" (paper Section 6).
 
-Each client gets a finite LRU replica pool.  As the pool shrinks below the
-working set (M shared objects), evictions force write-backs and re-fetch
-misses — the capacity-miss curve familiar from caches, here measured in
-the paper's communication-cost units and compared across protocols.
+Each client gets a bounded LRU replica cache.  As the cache shrinks below
+the working set (M shared objects), evictions force write-backs and
+re-fetch misses — the capacity-miss curve familiar from caches, here
+measured in the paper's communication-cost units (``acc``: eviction
+traffic is charged to the data operation that forced it) and compared
+across protocols.
 
 The analytic counterpart sweeps the stationary eviction pressure through
 the eject-extended Markov chains.
@@ -14,7 +16,7 @@ Run:  python examples/memory_pressure.py
 
 from repro.core import Deviation, WorkloadParams
 from repro.core.ejection import ejecting_markov_acc
-from repro.sim import DSMSystem, RunConfig
+from repro.sim import CacheConfig, DSMSystem, RunConfig
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=4, p=0.25, a=3, sigma=0.1, S=200.0, P=30.0)
@@ -29,12 +31,12 @@ def capacity_curve() -> None:
         row = f"{capacity:9d}"
         for proto in PROTOCOLS:
             system = DSMSystem(proto, N=PARAMS.N, M=M, S=PARAMS.S,
-                               P=PARAMS.P, capacity=capacity)
+                               P=PARAMS.P, cache=CacheConfig(capacity, "lru"))
             workload = read_disturbance_workload(PARAMS, M=M)
-            system.run_workload(workload, RunConfig(
+            result = system.run_workload(workload, RunConfig(
                 ops=3000, warmup=600, seed=11, mean_gap=10.0))
             system.check_coherence()
-            row += f"{system.data_cost_rate(600):16.2f}"
+            row += f"{result.acc:16.2f}"
         print(row)
     print("\n(capacity >= M: no evictions; capacity 1: every object access")
     print(" evicts the previous replica — thrashing)")

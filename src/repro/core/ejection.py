@@ -5,7 +5,7 @@ operations (eject operation ...) and the influence of some distributed
 system parameters, such as the size of the free memory pool".  This module
 adds the eject operation to the steady-state analysis: every acting client
 ejects its replica with a per-slot probability (the stationary eviction
-pressure a finite replica pool induces), and the chain evaluation yields
+pressure a bounded replica cache induces), and the chain evaluation yields
 the exact cost including the extra misses and write-backs ejects cause.
 
 The sample space of the *ejecting read disturbance* workload is

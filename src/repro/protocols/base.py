@@ -323,6 +323,10 @@ class ProtocolSpec:
             family (SC-ABD): every node is a symmetric replica, liveness
             needs only a majority, and the recovery/failover subsystems
             (which assume a sequencer) do not apply.
+        owner_states: the states of a copy that is the object's backing
+            store (Berkeley ``DIRTY``/``SHARED-DIRTY``, Dragon
+            ``SHARED-DIRTY``): the authoritative-value lookup reads the
+            owner's copy, and bounded caches never evict it.
     """
 
     name: str
@@ -335,6 +339,7 @@ class ProtocolSpec:
     sequencer_factory: Any
     notes: str = ""
     quorum_based: bool = False
+    owner_states: frozenset = frozenset()
 
     def make_process(self, ctx: ProcessContext) -> ProtocolProcess:
         """Instantiate the right process for ``ctx.node_id``'s role."""

@@ -229,6 +229,7 @@ SPEC = ProtocolSpec(
     migrating_owner=True,
     client_factory=make_client,
     sequencer_factory=make_sequencer,
+    owner_states=frozenset({DIRTY, SHARED_DIRTY}),
     notes=(
         "Reconstructed: ownership migrates to every writer (N+1 / S+N+1); "
         "owner writes cost 0 (DIRTY) or N (SHARED-DIRTY); read misses S+2."

@@ -171,6 +171,7 @@ SPEC = ProtocolSpec(
     migrating_owner=True,
     client_factory=make_client,
     sequencer_factory=make_sequencer,
+    owner_states=frozenset({SHARED_DIRTY}),
     notes=(
         "Reconstructed update protocol: the writer broadcasts parameters "
         "directly to the other N nodes (cost N*(P+1)) and takes the "

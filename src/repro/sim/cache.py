@@ -25,11 +25,11 @@ family pays its true price: write-through drops clean copies for free,
 directory protocols send a one-token departure notice, and the
 write-back family (Write-Once / Synapse / Illinois ``DIRTY`` copies)
 flushes the dirty value home with a ``WB`` + user-information message.
-Pinned states (:data:`~repro.sim.pool.PINNED_STATES` — e.g. a Berkeley
-owner) are never selected.  A later access to an evicted object is a
-*capacity miss*: the protocol re-fetches the copy (sequencer snapshot
-for the star family, a majority read round for SC-ABD) and the refetch
-is charged to a dedicated ``cache`` share of
+Owner copies (:attr:`~repro.protocols.base.ProtocolSpec.owner_states`
+— e.g. a Berkeley owner) are pinned: never selected.  A later access to
+an evicted object is a *capacity miss*: the protocol re-fetches the copy
+(sequencer snapshot for the star family, a majority read round for
+SC-ABD) and the refetch is charged to a dedicated ``cache`` share of
 :meth:`~repro.sim.metrics.Metrics.average_cost_breakdown`.
 
 SC-ABD runs the cache in *overlay* mode: quorum replicas are
@@ -55,11 +55,10 @@ committed baseline stays byte-identical.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
-from ..protocols.base import EJECT, READ, WRITE, Operation
+from ..protocols.base import EJECT, READ, WRITE, Operation, ProtocolSpec
 from ..util import did_you_mean, reject_unknown_keys
-from .pool import PINNED_STATES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SimNode
@@ -72,7 +71,8 @@ CACHE_POLICIES = ("lru", "clock", "cost_aware")
 #: client states whose eviction must flush the copy home (``WB`` + user
 #: information): the write-back family's dirty bit.  Berkeley's and
 #: Dragon's dirty states are the object's backing copy — pinned via
-#: :data:`~repro.sim.pool.PINNED_STATES`, never evicted, never flushed.
+#: :attr:`~repro.protocols.base.ProtocolSpec.owner_states`, never
+#: evicted, never flushed.
 DIRTY_STATES = {
     "write_once": frozenset({"DIRTY"}),
     "synapse": frozenset({"DIRTY"}),
@@ -280,17 +280,16 @@ class ReplicaCache:
     the reply re-installs the copy.
     """
 
-    def __init__(self, config: CacheConfig, protocol: str,
+    def __init__(self, config: CacheConfig, spec: ProtocolSpec,
                  node: "SimNode", S: float, P: float,
                  overlay: bool = False) -> None:
         self.config = config
-        self.protocol = protocol
         self.node = node
         self.S = float(S)
         self.P = float(P)
         self.overlay = bool(overlay)
-        self.pinned = PINNED_STATES.get(protocol, frozenset())
-        self.dirty_states = DIRTY_STATES.get(protocol, frozenset())
+        self.pinned = spec.owner_states
+        self.dirty_states = DIRTY_STATES.get(spec.name, frozenset())
         self.policy = _make_policy(config)
         #: objects this cache evicted and has not re-accessed since
         self.evicted: Set[int] = set()

@@ -30,7 +30,15 @@ from .partition import PartitionPlan
 from .reconfig import ReconfigPlan
 from .reliable import ReliabilityConfig
 
-__all__ = ["RunConfig"]
+__all__ = ["FABRIC_FIELDS", "RunConfig"]
+
+#: the :class:`RunConfig` fields that shape a system's fabric, in
+#: ``DSMSystem`` keyword order; the run-level fields (ops, warmup, seed,
+#: mean_gap, max_events) are the rest.  ``None`` in a run's config
+#: inherits the system's setting; the two booleans must match exactly.
+FABRIC_FIELDS = ("faults", "partitions", "reliability", "failover",
+                 "monitor", "tracing", "reconfig", "quorum_weights",
+                 "hedge", "cache")
 
 
 def _canonical_weights(weights) -> Optional[Tuple[Tuple[int, float], ...]]:
@@ -82,8 +90,8 @@ class RunConfig:
             (timed, possibly asymmetric cuts and per-link overrides) plus
             the failure-detector knobs; layered over ``faults``.
         reliability: optional :class:`ReliabilityConfig`; defaults are
-            applied when ``faults`` or ``partitions`` is given without
-            one.
+            applied when ``faults``, ``partitions``, ``reconfig`` or
+            ``hedge`` is given without one.
         failover: enable sequencer failover (deterministic standby
             election when the current sequencer crashes); only meaningful
             together with a fault plan containing crash windows.
@@ -176,11 +184,17 @@ class RunConfig:
 
     @property
     def resolved_reliability(self) -> Optional[ReliabilityConfig]:
-        """The effective reliability config (defaults under a fault plan)."""
+        """The effective reliability config.
+
+        Defaults apply under a fault or partition plan, and under
+        reconfiguration and hedging too: an epoch commit voids the old
+        view's in-flight frames through the transport, and hedge legs
+        ride its datagrams (the losers are cancelled through it).
+        """
         if self.reliability is not None:
             return self.reliability
         if (self.faults is not None or self.partitions is not None
-                or self.reconfig is not None):
+                or self.reconfig is not None or self.hedge is not None):
             return ReliabilityConfig()
         return None
 

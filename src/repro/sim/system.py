@@ -16,24 +16,18 @@ serialized value) and conservation of cost attribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..protocols.base import (
-    READ,
-    WRITE,
-    Operation,
-    ProtocolSpec,
-)
+from ..protocols.base import Operation, ProtocolSpec
 from ..obs.trace import TraceConfig, Tracer
 from ..protocols.registry import get_protocol
 from ..workloads.base import Workload
 from .cache import CacheConfig
 from .channel import Network
-from .config import RunConfig
+from .config import FABRIC_FIELDS, RunConfig
 from .engine import EventScheduler
 from .faults import FaultPlan
 from .hedge import HedgeConfig
@@ -45,7 +39,7 @@ from .reconfig import MembershipView, ReconfigManager, ReconfigPlan
 from .recovery import RecoveryManager, WriteLog
 from .reliable import ReliabilityConfig, ReliableNetwork
 
-__all__ = ["DSMSystem", "SimulationResult"]
+__all__ = ["COMPATIBILITY", "DSMSystem", "SimulationResult"]
 
 #: per-protocol states in which a local read hits (client or owner side)
 _HIT_STATES: Dict[str, frozenset] = {
@@ -63,39 +57,35 @@ _HIT_STATES: Dict[str, frozenset] = {
     "sc_abd": frozenset(),
 }
 
-#: owner-role states for authoritative-value lookup
-_OWNER_STATES: Dict[str, frozenset] = {
-    "berkeley": frozenset({"DIRTY", "SHARED-DIRTY"}),
-    "dragon": frozenset({"SHARED-DIRTY"}),
-}
+#: fabric settings one protocol family cannot honour, as
+#: ``(setting, refused by the quorum family?, why)``.  The quorum family
+#: has no sequencer (no failover) and its replicas must be durable; the
+#: star family has a fixed membership and no quorum phases.  A setting
+#: is a :data:`~repro.sim.config.FABRIC_FIELDS` name, or ``"amnesia"``
+#: for a fault plan with amnesia crash windows.
+COMPATIBILITY: Tuple[Tuple[str, bool, str], ...] = (
+    ("failover", True,
+     "has no sequencer to fail over; drop failover=True (a majority of "
+     "replicas is sufficient for liveness)"),
+    ("amnesia", True,
+     "requires durable replicas: amnesia crash semantics would forget "
+     "quorum-acknowledged state; use crash_semantics='durable'"),
+    ("reconfig", False,
+     "has a fixed star membership; online reconfiguration (reconfig=) "
+     "needs a quorum protocol"),
+    ("quorum_weights", False,
+     "has no quorums to weight; quorum_weights= needs a quorum protocol"),
+    ("hedge", False,
+     "has no quorum phases to hedge; hedge= needs a quorum protocol"),
+)
 
 
-def _normalize_weights(weights) -> Optional[Dict[int, float]]:
-    """Canonicalize quorum vote weights to ``{node: weight}`` (or ``None``).
-
-    Accepts a mapping or ``(node, weight)`` pairs.  All-default weights
-    (every named node weighing 1) normalize to ``None`` — they *are* the
-    unweighted count majority, and collapsing them keeps such runs
-    bit-identical to systems built without the argument.
-    """
-    if weights is None:
-        return None
-    items = weights.items() if hasattr(weights, "items") else weights
-    out: Dict[int, float] = {}
-    for node, weight in items:
-        node = int(node)
-        weight = float(weight)
-        if node in out:
-            raise ValueError(f"duplicate quorum weight for node {node}")
-        if not (weight > 0 and math.isfinite(weight)):
-            raise ValueError(
-                f"quorum weight for node {node} must be a positive "
-                f"finite number, got {weight}"
-            )
-        out[node] = weight
-    if not out or all(w == 1.0 for w in out.values()):
-        return None
-    return out
+def _uses(config: RunConfig, setting: str) -> bool:
+    """Whether ``config`` turns a :data:`COMPATIBILITY` setting on."""
+    if setting == "amnesia":
+        return config.faults is not None and config.faults.has_amnesia
+    value = getattr(config, setting)
+    return value is not None and value is not False
 
 
 @dataclass
@@ -184,9 +174,10 @@ class DSMSystem:
             heals.  A real plan implies the reliable-delivery layer and
             the recovery subsystem.
         reliability: optional :class:`ReliabilityConfig`; defaults are used
-            when a fault plan is given without one.  Passing a config with
-            no fault plan runs the reliable layer over a fault-free fabric
-            (pure acknowledgement overhead).
+            wherever another setting implies the reliable transport
+            (:attr:`RunConfig.resolved_reliability`).  Passing a config
+            with no fault plan runs the reliable layer over a fault-free
+            fabric (pure acknowledgement overhead).
         failover: enable sequencer failover — when the current sequencer
             crashes, a deterministic standby election promotes the live
             node with the lowest index under a new epoch (the failed
@@ -234,8 +225,12 @@ class DSMSystem:
             charged to the ``cache`` cost share; the quorum family runs
             the cache as free-eviction overlay bookkeeping (quorum
             replicas are load-bearing).  ``None`` keeps the paper's full
-            replication bit-identical.  Mutually exclusive with the
-            legacy ``capacity=`` replica pool.
+            replication bit-identical.
+
+    The fabric keywords are folded into one :class:`RunConfig`
+    (:attr:`config`) before anything is built; every implied subsystem
+    is derived from it, and settings a protocol family cannot honour
+    are refused through :data:`COMPATIBILITY`.
     """
 
     def __init__(
@@ -246,7 +241,6 @@ class DSMSystem:
         S: float = 100.0,
         P: float = 30.0,
         latency: float = 1.0,
-        capacity: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         partitions: Optional[PartitionPlan] = None,
         reliability: Optional[ReliabilityConfig] = None,
@@ -266,80 +260,34 @@ class DSMSystem:
             raise ValueError("need at least one client")
         if M < 1:
             raise ValueError("need at least one shared object")
-        if self.spec.quorum_based:
-            # the quorum family has no sequencer: the recovery/failover
-            # subsystems (sequencer-anchored) and the replica pool (which
-            # assumes a home node holding every copy) do not apply, and a
-            # quorum replica must be durable across crashes — refuse the
-            # combinations loudly rather than mis-simulate.
-            if capacity is not None:
-                raise ValueError(
-                    f"{self.spec.name} replicas are quorum members; a "
-                    "finite replica pool (capacity=) is not supported"
-                )
-            if failover:
-                raise ValueError(
-                    f"{self.spec.name} has no sequencer to fail over; "
-                    "drop failover=True (a majority of replicas is "
-                    "sufficient for liveness)"
-                )
-            if faults is not None and faults.has_amnesia:
-                raise ValueError(
-                    f"{self.spec.name} requires durable replicas: "
-                    "amnesia crash semantics would forget quorum-"
-                    "acknowledged state; use crash_semantics='durable'"
-                )
-        # a no-change plan is treated exactly like no plan (pay-for-what-
-        # you-use: static-membership runs stay bit-identical).
-        self.reconfig_plan: Optional[ReconfigPlan] = (
-            reconfig if reconfig is not None and not reconfig.is_none
-            else None
+        # the one canonicalization site: no-op plans collapse to None
+        # (pay-for-what-you-use: such runs stay bit-identical to systems
+        # built without them), hedge/cache/tracing are type-checked and
+        # vote weights become sorted pairs, all-default weights None.
+        config = RunConfig(
+            faults=faults, partitions=partitions, reliability=reliability,
+            failover=bool(failover), monitor=bool(monitor), tracing=tracing,
+            reconfig=reconfig, quorum_weights=quorum_weights, hedge=hedge,
+            cache=cache,
         )
-        self.quorum_weights = _normalize_weights(quorum_weights)
-        if hedge is not None and not isinstance(hedge, HedgeConfig):
-            raise TypeError(
-                f"hedge must be a HedgeConfig or None, "
-                f"got {type(hedge).__name__}"
-            )
-        self.hedge = hedge
-        if cache is not None and not isinstance(cache, CacheConfig):
-            raise TypeError(
-                f"cache must be a CacheConfig or None, "
-                f"got {type(cache).__name__}"
-            )
-        if cache is not None and capacity is not None:
-            raise ValueError(
-                "cache= (bounded replica caches) and capacity= (the "
-                "legacy replica pool) are both eviction drivers; "
-                "configure at most one"
-            )
-        self.cache_config = cache
-        if not self.spec.quorum_based:
-            if self.reconfig_plan is not None:
-                raise ValueError(
-                    f"{self.spec.name} has a fixed star membership; online "
-                    "reconfiguration (reconfig=) needs a quorum protocol"
-                )
-            if self.quorum_weights is not None:
-                raise ValueError(
-                    f"{self.spec.name} has no quorums to weight; "
-                    "quorum_weights= needs a quorum protocol"
-                )
-            if self.hedge is not None:
-                raise ValueError(
-                    f"{self.spec.name} has no quorum phases to hedge; "
-                    "hedge= needs a quorum protocol"
-                )
+        #: the fabric this system runs (its FABRIC_FIELDS; the implied
+        #: reliability defaults resolved)
+        self.config: RunConfig = config.with_(
+            reliability=config.resolved_reliability)
+        config = self.config
+        quorum = self.spec.quorum_based
+        for setting, quorum_refuses, why in COMPATIBILITY:
+            if quorum_refuses == quorum and _uses(config, setting):
+                raise ValueError(f"{self.spec.name} {why}")
         # the node universe: the initial members 1..N+1 plus any nodes the
         # reconfiguration plan will join later (they exist from the start
         # as empty replicas, but are not members until their epoch commits).
         universe = N + 1
-        if self.reconfig_plan is not None:
-            self.reconfig_plan.validate_membership(N + 1)
-            universe = max(universe, self.reconfig_plan.max_node())
-        if self.quorum_weights is not None:
-            bad = sorted(n for n in self.quorum_weights
-                         if not 1 <= n <= universe)
+        if config.reconfig is not None:
+            config.reconfig.validate_membership(N + 1)
+            universe = max(universe, config.reconfig.max_node())
+        if config.quorum_weights is not None:
+            bad = [n for n, _weight in config.quorum_weights if n > universe]
             if bad:
                 raise ValueError(
                     f"quorum_weights name unknown nodes {bad} "
@@ -353,42 +301,25 @@ class DSMSystem:
         self.metrics = Metrics()
         #: structured tracer (pay-for-what-you-use: None keeps every hook
         #: point a single attribute check)
-        self.tracing = tracing
         self.tracer: Optional[Tracer] = (
-            Tracer(tracing, clock=self.scheduler) if tracing is not None
-            else None
+            Tracer(config.tracing, clock=self.scheduler)
+            if config.tracing is not None else None
         )
         self.metrics.tracer = self.tracer
         #: wall-clock profiler for simulator hot paths
         self.profiler = profiler
         self.scheduler.profiler = profiler
-        # a no-fault plan is treated exactly like no plan (pay-for-what-
-        # you-use: fault-free runs use the paper's fabric unchanged).
-        self.faults = (
-            faults if faults is not None and not faults.is_none else None
-        )
-        self.partitions = (
-            partitions
-            if partitions is not None and not partitions.is_none else None
-        )
-        if ((self.faults is not None or self.partitions is not None
-                or self.reconfig_plan is not None
-                or self.hedge is not None)
-                and reliability is None):
-            # reconfiguration needs the reliable transport too: the epoch
-            # commit voids the old view's in-flight frames through it —
-            # as does hedging (legs ride the datagram transport and the
-            # losers are cancelled through it).
-            reliability = ReliabilityConfig()
-        self.reliability = reliability
-        if reliability is not None:
+        self.faults = config.faults
+        self.partitions = config.partitions
+        self.reliability = config.reliability
+        if self.reliability is not None:
             self.network = ReliableNetwork(
                 self.scheduler,
                 latency=latency,
                 metrics=self.metrics,
                 faults=self.faults,
                 partitions=self.partitions,
-                config=reliability,
+                config=self.reliability,
             )
         else:
             self.network = Network(
@@ -404,11 +335,7 @@ class DSMSystem:
             self._schedule_crash_markers()
         if self.partitions is not None:
             self.partitions.validate_nodes(universe)
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be at least 1 replica")
-        self.capacity = capacity
         self.latency = float(latency)
-        self.failover = bool(failover)
         #: shared, mutable sequencer-role view (reassigned by failover)
         self.cluster = ClusterView(N + 1)
         self.all_nodes: Tuple[int, ...] = tuple(range(1, universe + 1))
@@ -425,10 +352,9 @@ class DSMSystem:
                 self.P,
                 self.all_nodes,
                 self.cluster,
-                capacity=capacity,
                 new_op=self._make_internal_op,
-                cache=cache,
-                cache_overlay=self.spec.quorum_based,
+                cache=config.cache,
+                cache_overlay=quorum,
             )
             for node_id in self.all_nodes
         }
@@ -436,21 +362,21 @@ class DSMSystem:
         # without a plan or weights the view stays None and every quorum
         # phase takes the static fixed-majority fast path).
         self.membership: Optional[MembershipView] = None
-        if self.reconfig_plan is not None or self.quorum_weights is not None:
+        if config.reconfig is not None or config.quorum_weights is not None:
             self.membership = MembershipView(
-                tuple(range(1, N + 2)), self.quorum_weights
+                tuple(range(1, N + 2)), config.quorum_weights
             )
             for node in self.nodes.values():
                 for port in node.ports.values():
                     port.membership = self.membership
-        if self.hedge is not None:
+        if config.hedge is not None:
             for node in self.nodes.values():
                 for port in node.ports.values():
-                    port.hedge = self.hedge
+                    port.hedge = config.hedge
         self.reconfig: Optional[ReconfigManager] = None
-        if self.reconfig_plan is not None:
+        if config.reconfig is not None:
             self.reconfig = ReconfigManager(
-                plan=self.reconfig_plan,
+                plan=config.reconfig,
                 view=self.membership,
                 nodes=self.nodes,
                 cluster=self.cluster,
@@ -465,16 +391,17 @@ class DSMSystem:
             )
         # crash recovery and consistency monitoring (both opt-in; without
         # them the hooks stay None and runs are bit-identical to a system
-        # built before these subsystems existed).
+        # built before these subsystems existed).  Recovery is
+        # sequencer-anchored, so only the star family gets it.
         self.monitor: Optional[ConsistencyMonitor] = (
-            ConsistencyMonitor() if monitor else None
+            ConsistencyMonitor() if config.monitor else None
         )
         self.write_log: Optional[WriteLog] = None
         self.recovery: Optional[RecoveryManager] = None
-        if (not self.spec.quorum_based
-                and (self.partitions is not None
-                     or (self.faults is not None
-                         and (self.failover or self.faults.has_amnesia)))):
+        if not quorum and (
+                self.partitions is not None
+                or (self.faults is not None
+                    and (config.failover or self.faults.has_amnesia))):
             self.write_log = WriteLog()
             self.recovery = RecoveryManager(
                 nodes=self.nodes,
@@ -490,56 +417,43 @@ class DSMSystem:
                 S=self.S,
                 P=self.P,
                 latency=self.latency,
-                failover=self.failover,
+                failover=config.failover,
             )
-        #: sequencer-side heartbeat failure detector (partition plans only;
-        #: the quorum family needs no detector or quarantine for *liveness*
-        #: — that comes from quorum re-selection, so partitions only act at
-        #: the link level and every node stays in the view.  Gray failures
-        #: are different: when slow windows or hedging are configured, the
-        #: quorum family gets a demote-only detector (recovery=None, so it
-        #: can never quarantine) whose latency scoring feeds the
-        #: demotion-aware quorum selection and hedge targeting)
+        #: heartbeat failure detector.  The star family runs it on the
+        #: sequencer under a partition plan, quarantining unreachable
+        #: clients through recovery.  The quorum family needs no detector
+        #: for *liveness* (that comes from quorum re-selection, so
+        #: partitions act only at the link level), but gray failures do:
+        #: under slow windows or hedging it gets a demote-only detector
+        #: (recovery is None, so it can never quarantine) whose latency
+        #: scoring feeds the demotion-aware quorum selection and hedge
+        #: targeting.  Its knobs come from the partition plan when one is
+        #: present, else from a links-free local plan (never stored as
+        #: self.partitions: a plan without links is no partition plan).
         self.detector: Optional[FailureDetector] = None
-        if self.partitions is not None and not self.spec.quorum_based:
-            # the transport absorbs traffic to quarantined nodes instead
-            # of retrying into a severed link forever.
-            self.network.quarantined = self.cluster.quarantined
-            if self.partitions.detect:
-                self.detector = FailureDetector(
-                    plan=self.partitions,
-                    cluster=self.cluster,
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                    recovery=self.recovery,
-                    faults=self.faults,
-                    all_nodes=self.all_nodes,
-                    latency=self.latency,
-                )
-                self.detector.start()
-        elif (self.spec.quorum_based
-                and (self.hedge is not None
-                     or (self.faults is not None
-                         and self.faults.has_slowdowns))):
-            # knobs come from the partition plan when one is present;
-            # otherwise a links-free local plan supplies the defaults
-            # (never stored as self.partitions — a plan without links is
-            # no partition plan, and the plan-equality fabric checks
-            # must keep seeing None).
-            knobs = (self.partitions if self.partitions is not None
-                     else PartitionPlan())
-            if knobs.detect:
-                self.detector = FailureDetector(
-                    plan=knobs,
-                    cluster=self.cluster,
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                    recovery=None,
-                    faults=self.faults,
-                    all_nodes=self.all_nodes,
-                    latency=self.latency,
-                )
-                self.detector.start()
+        if quorum:
+            wants_detector = config.hedge is not None or (
+                self.faults is not None and self.faults.has_slowdowns)
+        else:
+            wants_detector = self.partitions is not None
+            if wants_detector:
+                # the transport absorbs traffic to quarantined nodes
+                # instead of retrying into a severed link forever.
+                self.network.quarantined = self.cluster.quarantined
+        knobs = (self.partitions if self.partitions is not None
+                 else PartitionPlan())
+        if wants_detector and knobs.detect:
+            self.detector = FailureDetector(
+                plan=knobs,
+                cluster=self.cluster,
+                scheduler=self.scheduler,
+                metrics=self.metrics,
+                recovery=self.recovery,
+                faults=self.faults,
+                all_nodes=self.all_nodes,
+                latency=self.latency,
+            )
+            self.detector.start()
         if self.monitor is not None or self.write_log is not None:
             observer = _Observer(self.write_log, self.monitor)
             for node in self.nodes.values():
@@ -554,57 +468,35 @@ class DSMSystem:
         config,
         M: int = 1,
         *,
-        capacity: Optional[int] = None,
         profiler=None,
         replay_plans: bool = False,
     ) -> "DSMSystem":
         """Build a system for a workload point from a :class:`RunConfig`.
 
         The one construction path shared by the CLI, the sweep engine and
-        the scenario runner — historically each copied the same
-        eight-argument ``DSMSystem(...)`` block.
+        the scenario runner.
 
         Args:
             protocol: registry name or :class:`ProtocolSpec`.
             params: a :class:`~repro.core.parameters.WorkloadParams`
                 (supplies ``N``, ``S`` and ``P``).
-            config: the :class:`~repro.sim.config.RunConfig` whose fault,
-                partition, reliability, failover, monitor and tracing
-                settings drive the system.
+            config: the :class:`~repro.sim.config.RunConfig` whose
+                :data:`~repro.sim.config.FABRIC_FIELDS` drive the system.
             M: number of shared objects.
-            capacity: optional finite replica pool per client.
             profiler: optional wall-clock :class:`~repro.obs.Profiler`.
-            replay_plans: rebuild the fault/partition plans with rewound
-                RNG streams (``plan.replay()``) instead of consuming the
-                config's own instances — what a sweep worker needs when a
-                plan object may already have been driven once.
+            replay_plans: rebuild the fault/partition/reconfiguration
+                plans with rewound RNG streams (``plan.replay()``) instead
+                of consuming the config's own instances — what a sweep
+                worker needs when a plan object may already have been
+                driven once.
         """
-        faults = config.faults
-        partitions = config.partitions
-        reconfig = config.reconfig
+        fabric = {name: getattr(config, name) for name in FABRIC_FIELDS}
         if replay_plans:
-            faults = None if faults is None else faults.replay()
-            partitions = None if partitions is None else partitions.replay()
-            reconfig = None if reconfig is None else reconfig.replay()
-        return cls(
-            protocol,
-            N=params.N,
-            M=M,
-            S=params.S,
-            P=params.P,
-            capacity=capacity,
-            faults=faults,
-            partitions=partitions,
-            reliability=config.reliability,
-            failover=config.failover,
-            monitor=config.monitor,
-            tracing=config.tracing,
-            profiler=profiler,
-            reconfig=reconfig,
-            quorum_weights=config.quorum_weights,
-            hedge=config.hedge,
-            cache=config.cache,
-        )
+            for name in ("faults", "partitions", "reconfig"):
+                if fabric[name] is not None:
+                    fabric[name] = fabric[name].replay()
+        return cls(protocol, N=params.N, M=M, S=params.S, P=params.P,
+                   profiler=profiler, **fabric)
 
     @property
     def sequencer_id(self) -> int:
@@ -612,7 +504,7 @@ class DSMSystem:
         return self.cluster.sequencer_id
 
     def _make_internal_op(self, kind: str, node: int, obj: int) -> Operation:
-        """Factory for system-generated operations (pool evictions)."""
+        """Factory for system-generated operations (cache evictions)."""
         self._next_op_id += 1
         return Operation(op_id=self._next_op_id, node=node, kind=kind,
                          obj=obj)
@@ -642,81 +534,24 @@ class DSMSystem:
             )
 
     def _check_run_config_fabric(self, config: RunConfig) -> None:
-        """Reject a :class:`RunConfig` whose fault/reliability settings
-        contradict the fabric this system was built with.
+        """Reject a :class:`RunConfig` whose fabric settings contradict
+        the fabric this system was built with.
 
-        The network (fault injection, reliable delivery) is assembled in
-        ``__init__`` and cannot be swapped per run; silently ignoring the
-        config's settings would mis-measure, so mismatches are errors.
-        ``None`` in the config means "inherit the system's fabric" and is
-        always accepted.
+        The fabric (fault injection, reliable delivery, the opt-in
+        subsystems) is assembled in ``__init__`` and cannot be swapped per
+        run; silently ignoring the config's settings would mis-measure, so
+        mismatches are errors.  ``None`` in the config means "inherit the
+        system's setting"; ``failover`` and ``monitor`` are booleans and
+        must match exactly.
         """
-        if config.faults is not None and config.faults != self.faults:
-            raise ValueError(
-                "RunConfig.faults does not match the FaultPlan this "
-                "DSMSystem was constructed with; pass faults= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.partitions is not None
-                and config.partitions != self.partitions):
-            raise ValueError(
-                "RunConfig.partitions does not match the PartitionPlan "
-                "this DSMSystem was constructed with; pass partitions= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.reliability is not None
-                and config.reliability != self.reliability):
-            raise ValueError(
-                "RunConfig.reliability does not match the "
-                "ReliabilityConfig this DSMSystem was constructed with; "
-                "pass reliability= to DSMSystem(...) or use repro.exp"
-            )
-        if config.failover != self.failover:
-            raise ValueError(
-                "RunConfig.failover does not match this DSMSystem "
-                "(failover is wired at construction); pass failover= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.monitor != (self.monitor is not None):
-            raise ValueError(
-                "RunConfig.monitor does not match this DSMSystem "
-                "(the monitor is attached at construction); pass "
-                "monitor= to DSMSystem(...) or run the cell through "
-                "repro.exp"
-            )
-        if config.tracing is not None and config.tracing != self.tracing:
-            raise ValueError(
-                "RunConfig.tracing does not match the TraceConfig this "
-                "DSMSystem was constructed with; pass tracing= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.reconfig is not None
-                and config.reconfig != self.reconfig_plan):
-            raise ValueError(
-                "RunConfig.reconfig does not match the ReconfigPlan this "
-                "DSMSystem was constructed with; pass reconfig= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.quorum_weights is not None
-                and _normalize_weights(config.quorum_weights)
-                != self.quorum_weights):
-            raise ValueError(
-                "RunConfig.quorum_weights does not match the vote weights "
-                "this DSMSystem was constructed with; pass quorum_weights= "
-                "to DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.hedge is not None and config.hedge != self.hedge:
-            raise ValueError(
-                "RunConfig.hedge does not match the HedgeConfig this "
-                "DSMSystem was constructed with; pass hedge= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.cache is not None and config.cache != self.cache_config:
-            raise ValueError(
-                "RunConfig.cache does not match the CacheConfig this "
-                "DSMSystem was constructed with; pass cache= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
+        for name in FABRIC_FIELDS:
+            wanted = getattr(config, name)
+            if wanted is not None and wanted != getattr(self.config, name):
+                raise ValueError(
+                    f"RunConfig.{name} does not match the {name} setting "
+                    f"this DSMSystem was constructed with; pass {name}= "
+                    "to DSMSystem(...) or run the cell through repro.exp"
+                )
 
     # ------------------------------------------------------------------
     # driving
@@ -897,7 +732,8 @@ class DSMSystem:
                 key=lambda proc: proc.ts,
             )
             return best.value
-        if name in _OWNER_STATES:
+        owner_states = self.spec.owner_states
+        if owner_states:
             # a partition-quarantined node keeps its (stale) replica for
             # degraded serving, so it may still look like an owner; the
             # epoch reset at quarantine re-canonicalized ownership among
@@ -906,7 +742,7 @@ class DSMSystem:
             owners = [
                 n for n in self.all_nodes
                 if n not in quarantined
-                and self.copy_state(n, obj) in _OWNER_STATES[name]
+                and self.copy_state(n, obj) in owner_states
             ]
             if len(owners) != 1:
                 raise AssertionError(
@@ -1001,21 +837,6 @@ class DSMSystem:
             ]
         violations.extend(self.monitor.check(authoritative, replicas))
         return violations
-
-    def data_cost_rate(self, skip: int = 0) -> float:
-        """Total communication cost per *data* operation.
-
-        With a finite replica pool the system issues internal eject
-        operations; this measure charges their traffic (write-backs,
-        directory notices) and the induced re-fetch misses to the
-        application's read/write operations: total cost of every completed
-        operation after ``skip``, divided by the number of reads+writes.
-        """
-        recs = self.metrics.records(skip)
-        data_ops = sum(1 for r in recs if r.kind in (READ, WRITE))
-        if not data_ops:
-            raise ValueError("no data operations in the window")
-        return sum(r.cost for r in recs) / data_ops
 
     def total_attributed_cost(self) -> float:
         """Sum of per-operation costs (must equal total message cost)."""

@@ -150,10 +150,6 @@ class TestReadRepair:
 
 
 class TestGuards:
-    def test_replica_pool_rejected(self):
-        with pytest.raises(ValueError, match="quorum members"):
-            DSMSystem("sc_abd", N=4, capacity=2)
-
     def test_failover_rejected(self):
         with pytest.raises(ValueError, match="no sequencer"):
             DSMSystem("sc_abd", N=4, failover=True)

@@ -15,6 +15,7 @@ import pytest
 from repro.obs.trace import TraceConfig
 from repro.sim.config import RunConfig
 from repro.sim.faults import CRASH_SEMANTICS, CrashWindow, FaultPlan
+from repro.sim.hedge import HedgeConfig
 from repro.sim.partition import LinkFault, PartitionPlan
 from repro.sim.reliable import ReliabilityConfig
 
@@ -213,3 +214,10 @@ class TestDescribeRobustness:
         text = config.describe_robustness()
         assert "timeout=6, backoff=2, max_retries=8" in text
         assert "(defaulted)" not in text
+
+    def test_hedge_only_config_surfaces_defaulted_retries(self):
+        """Hedge legs ride the reliable transport, which DSMSystem builds
+        for a hedge-only config; the banner must say so."""
+        text = RunConfig(hedge=HedgeConfig()).describe_robustness()
+        assert "max_retries=10 (defaulted)" in text
+        assert "paper-faithful" not in text

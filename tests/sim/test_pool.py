@@ -1,67 +1,25 @@
-"""Finite replica-pool tests (the "free memory pool" of Section 6)."""
+"""Capacity-miss tests for the paper's finite "free memory pool" (Section 6).
+
+The pool is modelled by bounded replica caches (``repro.sim.cache``):
+each client holds at most ``capacity`` resident copies, evictions go
+through the protocol's own eject operation, and their traffic is charged
+to the data operation that forced them, so ``acc`` is the cost per data
+operation.
+"""
 
 import pytest
 
 from repro.core.parameters import WorkloadParams
-from repro.sim import DSMSystem, RunConfig
-from repro.sim.pool import ReplicaPool
+from repro.protocols.registry import get_protocol
+from repro.sim import CacheConfig, DSMSystem, RunConfig
 from repro.workloads import read_disturbance_workload
-
-
-class TestReplicaPoolUnit:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ReplicaPool(0, "write_through", lambda obj: None)
-
-    def test_evicts_lru_beyond_capacity(self):
-        evicted = []
-        pool = ReplicaPool(2, "write_through", evicted.append)
-        for obj in (1, 2, 3):
-            pool.touch(obj)
-        pool.enforce({1: "VALID", 2: "VALID", 3: "VALID"})
-        assert evicted == [1]  # least recently used
-
-    def test_touch_refreshes_order(self):
-        evicted = []
-        pool = ReplicaPool(2, "write_through", evicted.append)
-        for obj in (1, 2, 3):
-            pool.touch(obj)
-        pool.touch(1)
-        pool.enforce({1: "VALID", 2: "VALID", 3: "VALID"})
-        assert evicted == [2]
-
-    def test_pinned_states_skipped(self):
-        evicted = []
-        pool = ReplicaPool(1, "berkeley", evicted.append)
-        pool.touch(1)
-        pool.touch(2)
-        pool.enforce({1: "DIRTY", 2: "VALID"})
-        assert evicted == [2]  # the owner copy is pinned
-
-    def test_no_duplicate_eviction_requests(self):
-        evicted = []
-        pool = ReplicaPool(1, "write_through", evicted.append)
-        pool.touch(1)
-        pool.touch(2)
-        states = {1: "VALID", 2: "VALID"}
-        pool.enforce(states)
-        pool.enforce(states)  # eject still in flight
-        assert evicted == [1]
-
-    def test_invalid_copies_not_resident(self):
-        evicted = []
-        pool = ReplicaPool(1, "write_through", evicted.append)
-        pool.touch(1)
-        pool.touch(2)
-        pool.enforce({1: "INVALID", 2: "VALID"})
-        assert evicted == []
 
 
 class TestPooledSystem:
     def _working_set_walk(self, protocol, capacity, M=6):
-        """Client 1 walks over M objects with a pool of `capacity`."""
+        """Client 1 walks over M objects with a cache of `capacity`."""
         system = DSMSystem(protocol, N=2, M=M, S=100, P=30,
-                           capacity=capacity)
+                           cache=CacheConfig(capacity, "lru"))
         for sweep in range(3):
             for obj in range(1, M + 1):
                 system.submit(1, "read", obj=obj)
@@ -75,45 +33,49 @@ class TestPooledSystem:
             if system.copy_state(1, obj) != "INVALID"
         )
         assert resident <= 3
-        assert system.nodes[1].pool.evictions > 0
+        assert system.metrics.cache.evictions > 0
         system.check_coherence()
 
     def test_large_capacity_no_evictions(self):
         system = self._working_set_walk("write_through", capacity=6)
-        assert system.nodes[1].pool.evictions == 0
+        assert system.metrics.cache.evictions == 0
 
     def test_thrashing_costs_more(self):
-        """A pool smaller than the working set forces re-fetch misses."""
+        """A cache smaller than the working set forces re-fetch misses."""
         tight = self._working_set_walk("write_through", capacity=2)
         roomy = self._working_set_walk("write_through", capacity=6)
-        assert tight.data_cost_rate() > roomy.data_cost_rate()
+        assert tight.metrics.average_cost() > roomy.metrics.average_cost()
+        assert tight.metrics.cache.capacity_misses > 0
+        assert roomy.metrics.cache.capacity_misses == 0
 
     @pytest.mark.parametrize("protocol", ["synapse", "berkeley", "dragon"])
     def test_pooled_workload_stays_coherent(self, protocol):
         params = WorkloadParams(N=3, p=0.3, a=2, sigma=0.15, S=50, P=10)
         wl = read_disturbance_workload(params, M=5)
-        system = DSMSystem(protocol, N=3, M=5, S=50, P=10, capacity=2)
+        system = DSMSystem(protocol, N=3, M=5, S=50, P=10,
+                           cache=CacheConfig(2, "lru"))
         system.run_workload(
             wl, RunConfig(ops=600, warmup=100, seed=9, mean_gap=10.0))
         system.check_coherence()
-        from repro.sim.pool import PINNED_STATES
-        pinned = PINNED_STATES.get(protocol, frozenset())
+        pinned = get_protocol(protocol).owner_states
         for node in (1, 2, 3):
             unpinned_resident = sum(
                 1 for obj in range(1, 6)
                 if system.copy_state(node, obj) != "INVALID"
                 and system.copy_state(node, obj) not in pinned
             )
-            # pinned owner copies legitimately exceed the pool (they are
-            # the objects' backing store); the evictable residency obeys
-            # the capacity up to one in-flight install.
+            # pinned owner copies legitimately exceed the capacity (they
+            # are the objects' backing store); the evictable residency
+            # obeys it up to one in-flight install.
             assert unpinned_resident <= 3, (protocol, node)
 
     def test_sequencer_has_no_pool(self):
-        system = DSMSystem("write_through", N=2, M=4, S=100, P=30,
-                           capacity=1)
-        assert system.nodes[3].pool is None
+        """The sequencer is the objects' home: it never evicts a copy."""
+        system = self._working_set_walk("write_through", capacity=1, M=4)
+        assert system.metrics.cache.evictions > 0
+        assert all(system.copy_state(3, obj) == "VALID"
+                   for obj in range(1, 5))
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            DSMSystem("write_through", N=2, M=4, capacity=0)
+            DSMSystem("write_through", N=2, M=4, cache=CacheConfig(0))

@@ -73,9 +73,10 @@ class TestSimulate:
     def test_simulate_with_pool(self, capsys):
         code, out, _ = run(capsys, "simulate", "write_through", "--N", "3",
                            "--p", "0.3", "--a", "2", "--sigma", "0.1",
-                           "--ops", "600", "--M", "5", "--capacity", "2")
+                           "--ops", "600", "--M", "5",
+                           "--cache-capacity", "2")
         assert code == 0
-        assert "pool evictions" in out
+        assert "evictions" in out and "capacity misses" in out
 
 
 class TestSimulateFaults:

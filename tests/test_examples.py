@@ -46,6 +46,11 @@ def test_protocol_comparison(capsys):
     assert "<== best" in out
 
 
+def test_memory_pressure(capsys):
+    out = run_example("memory_pressure.py", capsys)
+    assert "Capacity sweep" in out and "eviction-pressure" in out
+
+
 def test_trace_driven_analysis(capsys):
     out = run_example("trace_driven_analysis.py", capsys)
     assert "Recommendation" in out and "confirmed by replay" in out
