@@ -20,13 +20,15 @@ mutually exclusive and exhaustive sample space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Tuple
+from typing import Callable, Hashable, List, Sequence, Tuple
 
 from .kernels import Env, ProtocolKernel, get_kernel
 from .markov import solve_chain
 from .parameters import Deviation, WorkloadParams
 
-__all__ = ["GroupSpec", "deviation_groups", "build_chain", "markov_acc"]
+__all__ = [
+    "GroupSpec", "deviation_groups", "group_chain", "build_chain", "markov_acc",
+]
 
 
 @dataclass(frozen=True)
@@ -66,23 +68,32 @@ def deviation_groups(params: WorkloadParams, deviation: Deviation
     )
 
 
-def build_chain(
-    kernel: ProtocolKernel,
-    params: WorkloadParams,
-    deviation: Deviation,
-) -> Tuple[Hashable, Callable[[Hashable], List[Tuple[float, float, Hashable]]]]:
-    """Build ``(initial state, transition generator)`` for a chain.
+Transitions = Callable[[Hashable], List[Tuple[float, float, Hashable]]]
 
-    The generator yields ``(probability, cost, next_state)`` triples whose
-    probabilities sum to one per state.
+
+def group_chain(
+    kernel: ProtocolKernel,
+    groups: Sequence[GroupSpec],
+    env: Env,
+    home_rates: Sequence[Tuple[str, float]] = (),
+) -> Tuple[Hashable, Transitions]:
+    """``(initial state, transition generator)`` for symmetric actor groups.
+
+    ``home_rates`` are ``(kind, rate)`` operations the home node issues
+    (:meth:`ProtocolKernel.home_op`); their transitions come first, then
+    every group's reads, writes and ejects.  The generator yields
+    ``(probability, cost, next_state)`` triples.
     """
-    groups = deviation_groups(params, deviation)
-    env = Env(S=params.S, P=params.P, N=params.N)
     initial = kernel.initial_state(tuple(g.size for g in groups))
     member_states = kernel.member_states
 
     def transitions(state: Hashable) -> List[Tuple[float, float, Hashable]]:
         out: List[Tuple[float, float, Hashable]] = []
+        for kind, rate in home_rates:
+            if rate <= 0.0:
+                continue
+            cost, nxt = kernel.home_op(state, kind, env)
+            out.append((rate, cost, nxt))
         counts_by_group = state[0]
         for g, spec in enumerate(groups):
             counts = counts_by_group[g]
@@ -100,6 +111,20 @@ def build_chain(
         return out
 
     return initial, transitions
+
+
+def build_chain(
+    kernel: ProtocolKernel,
+    params: WorkloadParams,
+    deviation: Deviation,
+) -> Tuple[Hashable, Transitions]:
+    """Build ``(initial state, transition generator)`` for a chain.
+
+    The generator yields ``(probability, cost, next_state)`` triples whose
+    probabilities sum to one per state.
+    """
+    env = Env(S=params.S, P=params.P, N=params.N)
+    return group_chain(kernel, deviation_groups(params, deviation), env)
 
 
 def markov_acc(protocol: str, params: WorkloadParams,

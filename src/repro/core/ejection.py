@@ -22,9 +22,7 @@ acting as self-invalidations).
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
-
-from .chains import GroupSpec
+from .chains import GroupSpec, group_chain
 from .kernels import Env, get_kernel
 from .markov import solve_chain
 from .parameters import Deviation, WorkloadParams
@@ -80,26 +78,7 @@ def ejecting_markov_acc(
                 groups.append(
                     GroupSpec("dist", params.a, 0.0, disturb, eject_dist)
                 )
-    initial = kernel.initial_state(tuple(g.size for g in groups))
-    member_states = kernel.member_states
-
-    def transitions(state: Hashable) -> List[Tuple[float, float, Hashable]]:
-        out: List[Tuple[float, float, Hashable]] = []
-        for g, spec in enumerate(groups):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind, rate in (("read", spec.read_rate),
-                                   ("write", spec.write_rate),
-                                   ("eject", spec.eject_rate)):
-                    if rate <= 0.0:
-                        continue
-                    cost, nxt = kernel.op(state, g, s, kind, env)
-                    out.append((counts[si] * rate, cost, nxt))
-        return out
-
-    return solve_chain(initial, transitions)
+    return solve_chain(*group_chain(kernel, groups, env))
 
 
 def acc_write_through_rd_eject(

@@ -18,10 +18,9 @@ with ``A = sum_k sigma_k`` and ``r = 1 - p - A``.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
-
-from .chains import GroupSpec
+from .chains import GroupSpec, group_chain
 from .kernels import Env, get_kernel
 from .markov import solve_chain
 
@@ -85,25 +84,7 @@ def heterogeneous_markov_acc(
     groups = [GroupSpec("ac", 1, max(r_ac, 0.0), p)] + [
         GroupSpec(f"d{k}", 1, reads[k], writes[k]) for k in range(n_dist)
     ]
-    initial = kernel.initial_state(tuple(g.size for g in groups))
-    member_states = kernel.member_states
-
-    def transitions(state: Hashable):
-        out = []
-        for g, spec in enumerate(groups):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind, rate in (("read", spec.read_rate),
-                                   ("write", spec.write_rate)):
-                    if rate <= 0.0:
-                        continue
-                    cost, nxt = kernel.op(state, g, s, kind, env)
-                    out.append((counts[si] * rate, cost, nxt))
-        return out
-
-    return solve_chain(initial, transitions)
+    return solve_chain(*group_chain(kernel, groups, env))
 
 
 def acc_write_through_rd_hetero(

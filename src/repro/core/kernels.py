@@ -248,26 +248,80 @@ class WriteThroughVKernel(ProtocolKernel):
 # ---------------------------------------------------------------------------
 
 
-class WriteOnceKernel(ProtocolKernel):
+class _HomeOwnerKernel(ProtocolKernel):
+    """Shared semantics of Write-Once, Synapse and Illinois.
+
+    The ``home`` component is the sequencer's copy state, ``"V"`` or
+    ``"I"`` (a member holds the only ``"D"`` copy).  Mirrors
+    :mod:`repro.protocols.home`.
+    """
+
+    initial_member = "I"
+    initial_home = "V"
+    #: the state a recalled owner keeps (the handler's ``RECALLED_STATE``)
+    recalled: str = "V"
+    #: member states whose eject sends an ``EJ`` notice (cost 1)
+    eject_notice: Tuple[str, ...] = ()
+
+    def _recall(self, v: StateView) -> None:
+        """The dirty owner writes back; the home copy is current again."""
+        v.relabel_all("D", self.recalled)
+        v.home = "V"
+
+    def _take_ownership(self, v: StateView, g: int) -> None:
+        """The ``(g, "I")`` writer becomes the only (DIRTY) copy."""
+        v.set_all("I")
+        v.move(g, "I", "D")
+        v.home = "I"
+
+    def _eject(self, v: StateView, g: int, s: str, env: Env) -> float:
+        if s == "D":
+            v.move(g, "D", "I")
+            v.home = "V"
+            return env.S + 1.0  # write the only current copy back home
+        if s == "I":
+            return 0.0
+        v.move(g, s, "I")
+        return 1.0 if s in self.eject_notice else 0.0
+
+    def _home_read(self, v: StateView, env: Env) -> float:
+        if v.home == "V":
+            return 0.0
+        self._recall(v)
+        return env.S + 2.0
+
+    def _home_write(self, v: StateView, env: Env) -> float:
+        cost = 0.0
+        if v.home == "I":
+            cost += env.S + 2.0  # recall first
+            v.home = "V"
+        v.set_all("I")
+        return cost + env.N
+
+
+class WriteOnceKernel(_HomeOwnerKernel):
     """Write-Once: write-through once, then local DIRTY writes."""
 
     name = "write_once"
     member_states = ("I", "V", "R", "D")
-    initial_member = "I"
-    initial_home = "V"
+    eject_notice = ("R",)  # clear the reserved-client entry
+
+    @staticmethod
+    def _downgrade(v: StateView) -> float:
+        """A served read downgrades a RESERVED copy (+1 DGR token)."""
+        dgr = 1.0 if v.count("R") else 0.0
+        v.relabel_all("R", "V")
+        return dgr
 
     def _read(self, v: StateView, g: int, s: str, env: Env) -> float:
         if s != "I":
             return 0.0
         if v.home == "V":
-            # +1 DGR token when a RESERVED copy must downgrade.
-            dgr = 1.0 if v.count("R") else 0.0
-            v.relabel_all("R", "V")
+            dgr = self._downgrade(v)
             v.move(g, "I", "V")
             return env.S + 2.0 + dgr
         # recall from the dirty owner, who supplies and stays VALID.
-        v.relabel_all("D", "V")
-        v.home = "V"
+        self._recall(v)
         v.move(g, "I", "V")
         return 2.0 * env.S + 4.0
 
@@ -285,50 +339,21 @@ class WriteOnceKernel(ProtocolKernel):
             return env.P + env.N
         # INVALID: read-with-intent-to-modify.
         cost = env.S + env.N + 1.0 if v.home == "V" else 2.0 * env.S + env.N + 3.0
-        v.set_all("I")
-        v.move(g, "I", "D")
-        v.home = "I"
+        self._take_ownership(v, g)
         return cost
-
-    def _eject(self, v: StateView, g: int, s: str, env: Env) -> float:
-        if s == "D":
-            v.move(g, "D", "I")
-            v.home = "V"
-            return env.S + 1.0  # write back home
-        if s == "R":
-            v.move(g, "R", "I")
-            return 1.0  # clear the reserved-client entry
-        if s == "V":
-            v.move(g, "V", "I")
-        return 0.0
 
     def _home_read(self, v: StateView, env: Env) -> float:
         if v.home == "V":
-            # a RESERVED holder must downgrade (DGR token)
-            dgr = 1.0 if v.count("R") else 0.0
-            v.relabel_all("R", "V")
-            return dgr
-        # recall from the dirty owner, who supplies and stays VALID
-        v.relabel_all("D", "V")
-        v.home = "V"
-        return env.S + 2.0
-
-    def _home_write(self, v: StateView, env: Env) -> float:
-        cost = 0.0
-        if v.home == "I":
-            cost += env.S + 2.0  # recall first
-            v.home = "V"
-        v.set_all("I")
-        return cost + env.N
+            return self._downgrade(v)
+        return super()._home_read(v, env)
 
 
-class SynapseKernel(ProtocolKernel):
+class SynapseKernel(_HomeOwnerKernel):
     """Synapse: data-carrying ownership writes; write-back + retry misses."""
 
     name = "synapse"
     member_states = ("I", "V", "D")
-    initial_member = "I"
-    initial_home = "V"
+    recalled = "I"  # the recalled owner SELF-INVALIDATES
 
     def _read(self, v: StateView, g: int, s: str, env: Env) -> float:
         if s != "I":
@@ -336,9 +361,8 @@ class SynapseKernel(ProtocolKernel):
         if v.home == "V":
             v.move(g, "I", "V")
             return env.S + 2.0
-        # recall: the owner writes back and SELF-INVALIDATES, then retry.
-        v.relabel_all("D", "I")
-        v.home = "V"
+        # recall: the owner writes back and self-invalidates, then retry.
+        self._recall(v)
         v.move(g, "I", "V")
         return 2.0 * env.S + 6.0
 
@@ -348,44 +372,16 @@ class SynapseKernel(ProtocolKernel):
         cost = (
             env.S + env.N + 1.0 if v.home == "V" else 2.0 * env.S + env.N + 5.0
         )
-        v.set_all("I")
-        v.move(g, "I", "D")
-        v.home = "I"
+        self._take_ownership(v, g)
         return cost
 
-    def _eject(self, v: StateView, g: int, s: str, env: Env) -> float:
-        if s == "D":
-            v.move(g, "D", "I")
-            v.home = "V"
-            return env.S + 1.0  # write the only current copy back home
-        if s == "V":
-            v.move(g, "V", "I")
-        return 0.0
 
-    def _home_read(self, v: StateView, env: Env) -> float:
-        if v.home == "V":
-            return 0.0
-        # recall; the Synapse owner self-invalidates
-        v.relabel_all("D", "I")
-        v.home = "V"
-        return env.S + 2.0
-
-    def _home_write(self, v: StateView, env: Env) -> float:
-        cost = 0.0
-        if v.home == "I":
-            cost += env.S + 2.0
-            v.home = "V"
-        v.set_all("I")
-        return cost + env.N
-
-
-class IllinoisKernel(ProtocolKernel):
+class IllinoisKernel(_HomeOwnerKernel):
     """Illinois: data-less upgrades; direct remote-dirty service."""
 
     name = "illinois"
     member_states = ("I", "V", "D")
-    initial_member = "I"
-    initial_home = "V"
+    eject_notice = ("V",)  # keep the validity directory exact
 
     def _read(self, v: StateView, g: int, s: str, env: Env) -> float:
         if s != "I":
@@ -394,8 +390,7 @@ class IllinoisKernel(ProtocolKernel):
             v.move(g, "I", "V")
             return env.S + 2.0
         # the owner supplies the copy and stays VALID; no retry.
-        v.relabel_all("D", "V")
-        v.home = "V"
+        self._recall(v)
         v.move(g, "I", "V")
         return 2.0 * env.S + 4.0
 
@@ -408,36 +403,8 @@ class IllinoisKernel(ProtocolKernel):
             cost = env.S + env.N + 1.0
         else:
             cost = 2.0 * env.S + env.N + 3.0
-        v.set_all("I")
-        v.move(g, "I", "D")
-        v.home = "I"
+        self._take_ownership(v, g)
         return cost
-
-    def _eject(self, v: StateView, g: int, s: str, env: Env) -> float:
-        if s == "D":
-            v.move(g, "D", "I")
-            v.home = "V"
-            return env.S + 1.0  # write back home
-        if s == "V":
-            v.move(g, "V", "I")
-            return 1.0  # keep the validity directory exact
-        return 0.0
-
-    def _home_read(self, v: StateView, env: Env) -> float:
-        if v.home == "V":
-            return 0.0
-        # recall; the Illinois supplier stays VALID
-        v.relabel_all("D", "V")
-        v.home = "V"
-        return env.S + 2.0
-
-    def _home_write(self, v: StateView, env: Env) -> float:
-        cost = 0.0
-        if v.home == "I":
-            cost += env.S + 2.0
-            v.home = "V"
-        v.set_all("I")
-        return cost + env.N
 
 
 # ---------------------------------------------------------------------------

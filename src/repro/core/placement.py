@@ -20,10 +20,10 @@ under read disturbance.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
+from typing import List
 
 from .acc import analytical_acc
-from .chains import GroupSpec
+from .chains import GroupSpec, group_chain
 from .kernels import Env, get_kernel
 from .markov import solve_chain
 from .parameters import Deviation, WorkloadParams
@@ -61,30 +61,7 @@ def home_center_acc(
         else:
             groups.append(GroupSpec("dist", params.a, 0.0, disturb))
     home_rates = (("read", max(r, 0.0)), ("write", params.p))
-    initial = kernel.initial_state(tuple(g.size for g in groups))
-    member_states = kernel.member_states
-
-    def transitions(state: Hashable):
-        out: List[Tuple[float, float, Hashable]] = []
-        for kind, rate in home_rates:
-            if rate <= 0.0:
-                continue
-            cost, nxt = kernel.home_op(state, kind, env)
-            out.append((rate, cost, nxt))
-        for g, spec in enumerate(groups):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind, krate in (("read", spec.read_rate),
-                                    ("write", spec.write_rate)):
-                    if krate <= 0.0:
-                        continue
-                    cost, nxt = kernel.op(state, g, s, kind, env)
-                    out.append((counts[si] * krate, cost, nxt))
-        return out
-
-    return solve_chain(initial, transitions)
+    return solve_chain(*group_chain(kernel, groups, env, home_rates))
 
 
 def placement_advantage(

@@ -21,217 +21,56 @@ Reconstructed differences from Synapse (DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Any, Set, Tuple
 
 from ..machines.message import Message, MsgType, ParamPresence
-from .base import (
-    EJECT,
-    READ,
-    HoldingMixin,
-    Operation,
-    ProcessContext,
-    ProtocolProcess,
-    ProtocolSpec,
-)
+from .base import ProcessContext, ProtocolSpec
+from .home import DIRTY, INVALID, VALID, HomeOwnerClient, HomeOwnerSequencer
 
 __all__ = ["IllinoisClient", "IllinoisSequencer", "SPEC"]
 
-INVALID = "INVALID"
-VALID = "VALID"
-DIRTY = "DIRTY"
+
+class IllinoisClient(HomeOwnerClient):
+    """Client-side Illinois process.
+
+    Ejecting a VALID copy sends one ``EJ`` token, keeping the sequencer's
+    validity directory exact (it decides whether ownership grants need the
+    user information); a recalled owner supplies its copy and stays VALID.
+    """
+
+    EJECT_NOTICE_STATES = (VALID,)
 
 
-class IllinoisClient(ProtocolProcess):
-    """Client-side Illinois process."""
-
-    def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=INVALID)
-        self._pending: Optional[Operation] = None
-
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            # DIRTY: flush home (WB + ui).  VALID: one token keeps the
-            # sequencer's validity directory exact (it decides whether
-            # ownership grants need the user information).
-            if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
-            elif self.state == VALID:
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
-            self.state = INVALID
-            self.ctx.complete(op)
-            return
-        if op.kind == READ:
-            if self.state in (VALID, DIRTY):
-                self.ctx.complete(op, self.value)
-            else:
-                self._pending = op
-                self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
-        else:
-            if self.state == DIRTY:
-                self.value = op.params
-                self.ctx.complete(op)
-            else:
-                self._pending = op
-                self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-                )
-
-    def on_message(self, msg: Message) -> None:
-        mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
-            self.value = msg.payload["value"]
-            self.state = VALID
-            op, self._pending = self._pending, None
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
-            op, self._pending = self._pending, None
-            if msg.payload and "value" in msg.payload:
-                self.value = msg.payload["value"]
-            self.value = op.params
-            self.state = DIRTY
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op)
-        elif mtype is MsgType.RCL:
-            if self.state != DIRTY:
-                return  # stale recall; a voluntary write-back beat it
-            # cache-to-cache supply: write back but stay VALID.
-            self.state = VALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
-            self.state = INVALID
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"illinois client: unexpected {mtype}")
-
-
-class IllinoisSequencer(HoldingMixin, ProtocolProcess):
+class IllinoisSequencer(HomeOwnerSequencer):
     """Sequencer-side Illinois process: owner address + validity directory."""
 
     def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=VALID)
-        self._init_holding()
-        self.owner: Optional[int] = None
+        super().__init__(ctx)
         #: clients the sequencer knows hold a valid copy
         self.valid_set: Set[int] = set()
-        self._recall_for: Optional[object] = None
 
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            self.ctx.complete(op)  # the home copy is pinned
-            return
-        if self._busy:
-            self._hold(op)
-            return
-        if op.kind == READ:
-            if self.state == VALID:
-                self.ctx.complete(op, self.value)
-            else:
-                self._start_recall(op, op.op_id)
-        else:
-            if self.state == VALID:
-                self._apply_own_write(op)
-            else:
-                self._start_recall(op, op.op_id)
-
-    def _apply_own_write(self, op: Operation) -> None:
-        self.value = op.params
-        self.valid_set.clear()
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
-        self.ctx.complete(op)
-
-    def on_message(self, msg: Message) -> None:
-        mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
-            self._hold(msg)
-            return
-        if mtype is MsgType.R_PER:
-            if self.state == VALID:
-                self._grant_read(msg.src, msg.op_id, msg.token.operation_initiator)
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
-            if self.state == VALID:
-                self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.EJ:
+    def _on_other(self, msg: Message) -> None:
+        if msg.token.type is MsgType.EJ:
             self.valid_set.discard(msg.src)
-        elif mtype is MsgType.WB:
-            if self.owner != msg.src:
-                return  # stale write-back
-            self.value = msg.payload["value"]
-            self.state = VALID
-            voluntary = self._recall_for is None
-            if not voluntary:
-                # the supplier stays VALID on a recall; on a voluntary
-                # (eject) write-back it dropped its copy.
-                self.valid_set.add(self.owner)
-            self.owner = None
-            self._busy = False
-            trigger, self._recall_for = self._recall_for, None
-            if trigger is None:
-                self._release_held()
-                return
-            if isinstance(trigger, Operation):
-                if trigger.kind == READ:
-                    self.ctx.complete(trigger, self.value)
-                else:
-                    self._apply_own_write(trigger)
-            elif trigger.token.type is MsgType.R_PER:
-                # direct service — no retry (the Illinois difference).
-                self._grant_read(trigger.src, trigger.op_id,
-                                 trigger.token.operation_initiator)
-            else:
-                self._grant_ownership(trigger.src, trigger.op_id,
-                                      trigger.token.operation_initiator)
-            self._release_held()
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"illinois sequencer: unexpected {mtype}")
+        else:
+            super()._on_other(msg)
+
+    def _copies_invalidated(self) -> None:
+        self.valid_set.clear()
+
+    def _owner_recalled(self, owner: int) -> None:
+        # the supplier stays VALID on a recall; on a voluntary (eject)
+        # write-back it dropped its copy.
+        self.valid_set.add(owner)
+
+    def _ownership_data(self, writer: int) -> Tuple[ParamPresence, Any]:
+        if writer in self.valid_set:
+            return ParamPresence.NONE, {}  # upgrade: skip the data transfer
+        return super()._ownership_data(writer)
 
     def _grant_read(self, reader: int, op_id: int, initiator: int) -> None:
         self.valid_set.add(reader)
-        self.ctx.send(
-            reader, MsgType.R_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
-
-    def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
-        """Grant exclusivity; skip the data transfer for a known-valid writer."""
-        needs_ui = writer not in self.valid_set
-        self.ctx.send(
-            writer,
-            MsgType.O_GNT,
-            ParamPresence.USER_INFO if needs_ui else ParamPresence.NONE,
-            op_id,
-            payload={"value": self.value} if needs_ui else {},
-            initiator=initiator,
-        )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
-        self.valid_set.clear()
-        self.state = INVALID
-        self.owner = writer
-
-    def _start_recall(self, trigger, op_id: int) -> None:
-        self._busy = True
-        self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
+        super()._grant_read(reader, op_id, initiator)
 
 
 SPEC = ProtocolSpec(

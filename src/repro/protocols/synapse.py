@@ -22,223 +22,44 @@ copy).  Reconstruction notes (DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..machines.message import Message, MsgType, ParamPresence
-from .base import (
-    EJECT,
-    READ,
-    HoldingMixin,
-    Operation,
-    ProcessContext,
-    ProtocolProcess,
-    ProtocolSpec,
-)
+from .base import READ, ProtocolSpec
+from .home import DIRTY, INVALID, VALID, HomeOwnerClient, HomeOwnerSequencer
 
 __all__ = ["SynapseClient", "SynapseSequencer", "SPEC"]
 
-INVALID = "INVALID"
-VALID = "VALID"
-DIRTY = "DIRTY"
 
+class SynapseClient(HomeOwnerClient):
+    """Client-side Synapse process.
 
-class SynapseClient(ProtocolProcess):
-    """Client-side Synapse process."""
+    Grants always carry the user information, so an eject needs no notice;
+    a recalled owner self-invalidates, and a recalled request is re-issued
+    on ``RETRY``.
+    """
 
-    def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=INVALID)
-        self._pending: Optional[Operation] = None
+    RECALLED_STATE = INVALID
 
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            # a DIRTY copy is the only current one: flush it home first
-            # (WB + ui, cost S+1); VALID/INVALID copies drop silently
-            # (Synapse grants always carry the user information, so the
-            # sequencer needs no validity directory).
-            if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
-            self.state = INVALID
-            self.ctx.complete(op)
+    def _on_other(self, msg: Message) -> None:
+        if msg.token.type is not MsgType.RETRY:
+            super()._on_other(msg)
             return
-        if op.kind == READ:
-            if self.state in (VALID, DIRTY):
-                self.ctx.complete(op, self.value)
-            else:
-                self._pending = op
-                self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
-        else:
-            if self.state == DIRTY:
-                self.value = op.params
-                self.ctx.complete(op)
-            else:
-                # write hit or miss: acquire exclusive ownership with data.
-                self._pending = op
-                self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-                )
-
-    def on_message(self, msg: Message) -> None:
-        mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
-            self.value = msg.payload["value"]
-            self.state = VALID
-            op, self._pending = self._pending, None
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
-            op, self._pending = self._pending, None
-            self.value = msg.payload["value"]
-            self.value = op.params
-            self.state = DIRTY
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op)
-        elif mtype is MsgType.RETRY:
-            # memory write-back finished; re-issue the pending request.
-            op = self._pending
-            retry_type = MsgType.R_PER if op.kind == READ else MsgType.O_PER
-            self.ctx.send(
-                self.ctx.sequencer_id, retry_type, ParamPresence.NONE, op.op_id
-            )
-        elif mtype is MsgType.RCL:
-            if self.state != DIRTY:
-                # stale recall: a voluntary (eject) write-back already
-                # satisfied the sequencer; nothing to supply.
-                return
-            # we hold the only valid copy: write back and self-invalidate.
-            self.state = INVALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
-            self.state = INVALID
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"synapse client: unexpected {mtype}")
-
-
-class SynapseSequencer(HoldingMixin, ProtocolProcess):
-    """Sequencer-side Synapse process with owner directory and recall."""
-
-    def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=VALID)
-        self._init_holding()
-        self.owner: Optional[int] = None
-        self._recall_for: Optional[object] = None  # Message or Operation
-
-    # -- application requests at the sequencer node --------------------
-
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            self.ctx.complete(op)  # the home copy is pinned
-            return
-        if self._busy:
-            self._hold(op)
-            return
-        if op.kind == READ:
-            if self.state == VALID:
-                self.ctx.complete(op, self.value)
-            else:
-                self._start_recall(op, op.op_id)
-        else:
-            if self.state == VALID:
-                self._apply_own_write(op)
-            else:
-                self._start_recall(op, op.op_id)
-
-    def _apply_own_write(self, op: Operation) -> None:
-        """Sequencer write with a VALID copy: invalidate all N clients."""
-        self.value = op.params
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
-        self.ctx.complete(op)
-
-    # -- protocol messages ---------------------------------------------
-
-    def on_message(self, msg: Message) -> None:
-        mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
-            self._hold(msg)
-            return
-        if mtype is MsgType.R_PER:
-            if self.state == VALID:
-                self.ctx.send(
-                    msg.src,
-                    MsgType.R_GNT,
-                    ParamPresence.USER_INFO,
-                    msg.op_id,
-                    payload={"value": self.value},
-                    initiator=msg.token.operation_initiator,
-                )
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
-            if self.state == VALID:
-                self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.WB:
-            if self.owner != msg.src:
-                # stale write-back (ownership already moved on): ignore.
-                return
-            # the dirty owner wrote back and self-invalidated.
-            self.value = msg.payload["value"]
-            self.state = VALID
-            self.owner = None
-            self._busy = False
-            trigger, self._recall_for = self._recall_for, None
-            if trigger is None:
-                # voluntary write-back (owner eject): nothing pending.
-                self._release_held()
-                return
-            if isinstance(trigger, Operation):
-                # our own operation triggered the recall: finish it locally.
-                if trigger.kind == READ:
-                    self.ctx.complete(trigger, self.value)
-                else:
-                    self._apply_own_write(trigger)
-            else:
-                # bus-Synapse semantics: tell the requester to retry.
-                self.ctx.send(
-                    trigger.src, MsgType.RETRY, ParamPresence.NONE, trigger.op_id,
-                    initiator=trigger.token.operation_initiator,
-                )
-            self._release_held()
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"synapse sequencer: unexpected {mtype}")
-
-    # -- helpers ---------------------------------------------------------
-
-    def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
-        """Ownership grant with data; invalidate the other N-1 clients."""
+        # memory write-back finished; re-issue the pending request.
+        op = self._pending
+        retry_type = MsgType.R_PER if op.kind == READ else MsgType.O_PER
         self.ctx.send(
-            writer,
-            MsgType.O_GNT,
-            ParamPresence.USER_INFO,
-            op_id,
-            payload={"value": self.value},
-            initiator=initiator,
+            self.ctx.sequencer_id, retry_type, ParamPresence.NONE, op.op_id
         )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
-        self.state = INVALID
-        self.owner = writer
 
-    def _start_recall(self, trigger, op_id: int) -> None:
-        """Ask the dirty owner to write back; hold all other work."""
-        self._busy = True
-        self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
+
+class SynapseSequencer(HomeOwnerSequencer):
+    """Sequencer-side Synapse process: a finished recall answers ``RETRY``."""
+
+    def _resume(self, trigger: Message) -> None:
+        # bus-Synapse semantics: tell the requester to retry.
+        self.ctx.send(
+            trigger.src, MsgType.RETRY, ParamPresence.NONE, trigger.op_id,
+            initiator=trigger.token.operation_initiator,
+        )
 
 
 SPEC = ProtocolSpec(

@@ -37,69 +37,30 @@ from __future__ import annotations
 from typing import Optional
 
 from ..machines.message import Message, MsgType, ParamPresence
-from .base import (
-    EJECT,
-    READ,
-    HoldingMixin,
-    Operation,
-    ProcessContext,
-    ProtocolProcess,
-    ProtocolSpec,
-)
+from .base import Operation, ProcessContext, ProtocolSpec
+from .home import DIRTY, INVALID, VALID, HomeOwnerClient, HomeOwnerSequencer
 
 __all__ = ["WriteOnceClient", "WriteOnceSequencer", "SPEC"]
 
-INVALID = "INVALID"
-VALID = "VALID"
 RESERVED = "RESERVED"
-DIRTY = "DIRTY"
 
 
-class WriteOnceClient(ProtocolProcess):
-    """Client-side Write-Once process."""
+class WriteOnceClient(HomeOwnerClient):
+    """Client-side Write-Once process.
 
-    def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=INVALID)
-        self._pending: Optional[Operation] = None
+    A RESERVED copy is current, so reads hit it; its content is already
+    home (written through), but its eject must clear the sequencer's
+    reserved-client entry (one ``EJ`` token).  A recalled owner supplies
+    its copy and stays VALID (memory is updated by the write-back).
+    """
 
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            # DIRTY: flush home (WB + ui).  RESERVED: the content is
-            # already home (written through), but the sequencer's
-            # reserved-client entry must clear (one token).  VALID: silent.
-            if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
-            elif self.state == RESERVED:
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
-            self.state = INVALID
-            self.ctx.complete(op)
-            return
-        if op.kind == READ:
-            if self.state in (VALID, RESERVED, DIRTY):
-                self.ctx.complete(op, self.value)
-            else:
-                self._pending = op
-                self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
-            return
-        # write
-        if self.state == DIRTY:
-            self.value = op.params
-            self.ctx.complete(op)
-        elif self.state == RESERVED:
+    READ_HIT_STATES = (VALID, RESERVED, DIRTY)
+    EJECT_NOTICE_STATES = (RESERVED,)
+
+    def _write_not_dirty(self, op: Operation) -> None:
+        if self.state == RESERVED:
             # serialized local upgrade: ask before going DIRTY.
-            self._pending = op
-            self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.ctx.sequencer_id, MsgType.D_NOT, ParamPresence.NONE, op.op_id
-            )
+            self._ask(MsgType.D_NOT, op)
         elif self.state == VALID:
             # first write: write through, keep the copy in RESERVED.
             self.value = op.params
@@ -114,34 +75,13 @@ class WriteOnceClient(ProtocolProcess):
             self.ctx.complete(op)
         else:
             # INVALID: read-with-intent-to-modify.
-            self._pending = op
-            self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-            )
+            super()._write_not_dirty(op)
 
-    def on_message(self, msg: Message) -> None:
+    def _on_other(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
-            self.value = msg.payload["value"]
-            self.state = VALID
-            op, self._pending = self._pending, None
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
-            op, self._pending = self._pending, None
-            self.value = msg.payload["value"]
-            self.value = op.params
-            self.state = DIRTY
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op)
-        elif mtype is MsgType.D_GNT:
-            # upgrade granted: apply the write locally.
-            op, self._pending = self._pending, None
-            self.value = op.params
-            self.state = DIRTY
-            self.ctx.enable_local_queue()
-            self.ctx.complete(op)
+        if mtype is MsgType.D_GNT:
+            # upgrade granted (no data): apply the write locally.
+            self._become_owner(msg)
         elif mtype is MsgType.D_NACK:
             # reserved status lost in flight (an invalidation or downgrade
             # is ahead of this NACK on the FIFO channel, so our state is
@@ -153,88 +93,24 @@ class WriteOnceClient(ProtocolProcess):
             # another node read the object: a write is no longer "once".
             if self.state == RESERVED:
                 self.state = VALID
-        elif mtype is MsgType.RCL:
-            if self.state != DIRTY:
-                return  # stale recall; a voluntary write-back beat it
-            # supply the copy; stay VALID (memory is updated by the WB).
-            self.state = VALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
-            self.state = INVALID
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"write_once client: unexpected {mtype}")
+        else:
+            super()._on_other(msg)
 
 
-class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
+class WriteOnceSequencer(HomeOwnerSequencer):
     """Sequencer-side Write-Once process with owner/reserved directory."""
 
     def __init__(self, ctx: ProcessContext):
-        super().__init__(ctx, initial_state=VALID)
-        self._init_holding()
-        self.owner: Optional[int] = None
+        super().__init__(ctx)
         #: the client whose last write-through made it RESERVED, if still so
         self.reserved_client: Optional[int] = None
-        self._recall_for: Optional[object] = None
 
-    def on_request(self, op: Operation) -> None:
-        if op.kind == EJECT:
-            self.ctx.complete(op)  # the home copy is pinned
-            return
-        if self._busy:
-            self._hold(op)
-            return
-        if op.kind == READ:
-            if self.state == VALID:
-                self._downgrade_reserved(op.op_id)
-                self.ctx.complete(op, self.value)
-            else:
-                self._start_recall(op, op.op_id)
-        else:
-            if self.state == VALID:
-                self._apply_own_write(op)
-            else:
-                self._start_recall(op, op.op_id)
-
-    def _apply_own_write(self, op: Operation) -> None:
-        self.value = op.params
-        self.reserved_client = None
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
-        self.ctx.complete(op)
-
-    def on_message(self, msg: Message) -> None:
+    def _on_other(self, msg: Message) -> None:
         mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
-            self._hold(msg)
-            return
-        if mtype is MsgType.R_PER:
-            if self.state == VALID:
-                self._grant_read(msg.src, msg.op_id, msg.token.operation_initiator)
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
-            if self.state == VALID:
-                self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
-            else:
-                self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.W_PER:
-            if self.state == VALID:
-                # write-through from a VALID client: apply, invalidate others.
-                self.value = msg.payload["value"]
-                self.reserved_client = msg.src
-                self.ctx.broadcast_except(
-                    [msg.src], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
-                    initiator=msg.token.operation_initiator,
-                )
-            else:
-                # the writer was invalidated in flight; recall the dirty
-                # owner first, then apply the write-through on top.
-                self._start_recall(msg, msg.op_id)
+        if mtype is MsgType.W_PER:
+            # if the writer was invalidated in flight, the dirty owner is
+            # recalled first and the write-through applies on top.
+            self._serve_or_recall(msg)
         elif mtype is MsgType.D_NOT:
             if msg.src == self.reserved_client and self.state == VALID:
                 self.state = INVALID
@@ -253,38 +129,31 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
         elif mtype is MsgType.EJ:
             if self.reserved_client == msg.src:
                 self.reserved_client = None
-        elif mtype is MsgType.WB:
-            if self.owner != msg.src:
-                return  # stale write-back
+        else:
+            super()._on_other(msg)
+
+    def _serve(self, msg: Message) -> None:
+        if msg.token.type is MsgType.W_PER:
+            # write-through from a VALID client: apply, invalidate others.
             self.value = msg.payload["value"]
-            self.state = VALID
-            self.owner = None
-            self._busy = False
-            trigger, self._recall_for = self._recall_for, None
-            if trigger is None:
-                self._release_held()
-                return
-            if isinstance(trigger, Operation):
-                if trigger.kind == READ:
-                    self.ctx.complete(trigger, self.value)
-                else:
-                    self._apply_own_write(trigger)
-            elif trigger.token.type is MsgType.R_PER:
-                self._grant_read(trigger.src, trigger.op_id,
-                                 trigger.token.operation_initiator)
-            elif trigger.token.type is MsgType.W_PER:
-                self.value = trigger.payload["value"]
-                self.reserved_client = trigger.src
-                self.ctx.broadcast_except(
-                    [trigger.src], MsgType.W_INV, ParamPresence.NONE,
-                    trigger.op_id, initiator=trigger.token.operation_initiator,
-                )
-            else:
-                self._grant_ownership(trigger.src, trigger.op_id,
-                                      trigger.token.operation_initiator)
-            self._release_held()
-        else:  # pragma: no cover - specification error
-            raise ValueError(f"write_once sequencer: unexpected {mtype}")
+            self.reserved_client = msg.src
+            self.ctx.broadcast_except(
+                [msg.src], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
+                initiator=msg.token.operation_initiator,
+            )
+        else:
+            super()._serve(msg)
+
+    def _copies_invalidated(self) -> None:
+        self.reserved_client = None
+
+    def _read_home(self, op: Operation) -> None:
+        self._downgrade_reserved(op.op_id)
+        super()._read_home(op)
+
+    def _grant_read(self, reader: int, op_id: int, initiator: int) -> None:
+        self._downgrade_reserved(op_id)
+        super()._grant_read(reader, op_id, initiator)
 
     def _downgrade_reserved(self, op_id: int) -> None:
         """Replace the bus's snooped-read downgrade with a DGR token."""
@@ -293,30 +162,6 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
                 self.reserved_client, MsgType.DGR, ParamPresence.NONE, op_id
             )
             self.reserved_client = None
-
-    def _grant_read(self, reader: int, op_id: int, initiator: int) -> None:
-        self._downgrade_reserved(op_id)
-        self.ctx.send(
-            reader, MsgType.R_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
-
-    def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
-        self.ctx.send(
-            writer, MsgType.O_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
-        self.state = INVALID
-        self.owner = writer
-        self.reserved_client = None
-
-    def _start_recall(self, trigger, op_id: int) -> None:
-        self._busy = True
-        self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
 
 
 SPEC = ProtocolSpec(

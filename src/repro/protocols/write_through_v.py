@@ -31,12 +31,13 @@ writes stay globally serialized.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..machines.message import Message, MsgType, ParamPresence
 from .base import (
     EJECT,
     READ,
+    HoldingMixin,
     Operation,
     ProcessContext,
     ProtocolProcess,
@@ -114,16 +115,19 @@ class WriteThroughVClient(ProtocolProcess):
             raise ValueError(f"write_through_v client: unexpected {msg.token.type}")
 
 
-class WriteThroughVSequencer(ProtocolProcess):
-    """Sequencer-side Write-Through-V process with a validity directory."""
+class WriteThroughVSequencer(HoldingMixin, ProtocolProcess):
+    """Sequencer-side Write-Through-V process with a validity directory.
+
+    It is busy while a granted writer's ``UPD`` is outstanding.
+    """
 
     def __init__(self, ctx: ProcessContext):
         super().__init__(ctx, initial_state=VALID)
+        self._init_holding()
         #: clients whose copies the sequencer knows to be valid
         self.valid_set = set()
         #: writer currently between W-GNT and its UPD, if any
         self._granted_writer: Optional[int] = None
-        self._held: List[Message] = []
         self.serialized_writes = 0
 
     def on_request(self, op: Operation) -> None:
@@ -133,10 +137,10 @@ class WriteThroughVSequencer(ProtocolProcess):
         if op.kind == READ:
             self.ctx.complete(op, self.value)
         else:
-            if self._granted_writer is not None:
+            if self._busy:
                 # an in-flight two-phase client write owns the serialization
                 # point; queue our own write behind it at zero message cost.
-                self._held.append(op)
+                self._hold(op)
                 return
             self.value = op.params
             self.serialized_writes += 1
@@ -145,10 +149,10 @@ class WriteThroughVSequencer(ProtocolProcess):
             self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
-        if self._granted_writer is not None and msg.src != self._granted_writer:
+        if self._busy and msg.src != self._granted_writer:
             # hold every other request until the granted write's parameters
             # arrive, keeping writes globally serialized (no message cost).
-            self._held.append(msg)
+            self._hold(msg)
             return
         mtype = msg.token.type
         if mtype is MsgType.R_PER:
@@ -163,6 +167,7 @@ class WriteThroughVSequencer(ProtocolProcess):
             )
         elif mtype is MsgType.W_PER:
             needs_ui = msg.src not in self.valid_set
+            self._busy = True
             self._granted_writer = msg.src
             self.ctx.send(
                 msg.src,
@@ -179,6 +184,7 @@ class WriteThroughVSequencer(ProtocolProcess):
             self.value = msg.payload["value"]
             self.serialized_writes += 1
             self.valid_set = {writer}
+            self._busy = False
             self._granted_writer = None
             self.ctx.broadcast_except(
                 [writer], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
@@ -187,18 +193,6 @@ class WriteThroughVSequencer(ProtocolProcess):
             self._release_held()
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_through_v sequencer: unexpected {mtype}")
-
-    def _release_held(self) -> None:
-        """Re-process requests buffered behind a two-phase write."""
-        held, self._held = self._held, []
-        for item in held:
-            if self._granted_writer is not None:
-                self._held.append(item)
-                continue
-            if isinstance(item, Operation):
-                self.on_request(item)
-            else:
-                self.on_message(item)
 
 
 SPEC = ProtocolSpec(

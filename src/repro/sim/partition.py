@@ -480,6 +480,8 @@ class FailureDetector:
     Probing is horizon-bounded so the event list drains: rounds stop a
     few intervals after the last scheduled fault/partition/slowdown edge
     unless a quarantined node is still reachable-and-rejoining.
+    ``PartitionPlan.__init__`` has already checked the probe interval
+    and the suspicion count.
     """
 
     def __init__(
@@ -493,18 +495,6 @@ class FailureDetector:
         all_nodes: Tuple[int, ...],
         latency: float = 1.0,
     ) -> None:
-        if not (plan.heartbeat_interval > 0
-                and math.isfinite(plan.heartbeat_interval)):
-            raise ValueError(
-                f"heartbeat_interval must be a positive finite number, "
-                f"got {plan.heartbeat_interval}"
-            )
-        if not (plan.suspect_after >= 1
-                and math.isfinite(plan.suspect_after)):
-            raise ValueError(
-                f"suspect_after must be a finite count >= 1, got "
-                f"{plan.suspect_after}"
-            )
         self.plan = plan
         self.cluster = cluster
         self.scheduler = scheduler

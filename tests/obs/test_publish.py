@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.core import WorkloadParams
 from repro.exp import SweepSpec, run_sweep
 from repro.obs import MetricsRegistry, Profiler, TraceConfig

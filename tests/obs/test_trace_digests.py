@@ -4,6 +4,8 @@ Six small runs through :func:`repro.api.simulate` cover every fabric the
 simulator composes: the plain FIFO fabric, the reliable transport over a
 lossy wire, the same with a gray-failure window, the quorum family under
 a crash, an amnesia sequencer crash with failover, and a partition cut.
+Two more runs pin the home-based ownership family beside Illinois:
+Synapse and Write-Once under write disturbance over the lossy wire.
 A hot-path change that alters any traced event — its order, time, cost
 or detail — changes a digest, so "trace exports stay byte-identical" is
 checked rather than diffed by hand.
@@ -61,6 +63,8 @@ RUNS = {
         "partitions": PartitionPlan(seed=2,
                                     links=cut(1, SEQUENCER, 100.0, 700.0)),
     }),
+    "synapse": ("synapse", "write", {"faults": _lossy()}),
+    "write_once": ("write_once", "write", {"faults": _lossy()}),
 }
 
 #: name -> (Chrome trace SHA-256, JSONL stream SHA-256)
@@ -77,6 +81,10 @@ DIGESTS = {
         '3c2d251fafdd653193d93bbec5b30e5b9af037b5df5668840e15d8d2560edb76'),
     'sc_abd-crash': ('c464e0479416f7a5f021d96c93003f9030c33b990ba5511abb7f3c67227ae569',
         '0c36248309eded8e323214e70495b12569550f230a97489828deb78efbe226fe'),
+    'synapse': ('25a33e0fb79321de81a74c147d41bdc94e1624f1b21c40f23e6745a2d5d6a52e',
+        'a59845156be311293734e7c3deb6a0a5ddc8c05045493a6e9b7900c80003a8e1'),
+    'write_once': ('8c4aaa3a7e37acf50c574b3ca1eccb3bd1acb35888e2a5250711ea84da24d5e4',
+        'dfc11b58143cdab1742269878a76b91dc1b5df25b39205319b24a84f4fd799b6'),
 }
 
 

@@ -84,6 +84,11 @@ class TestPartitionPlan:
     def test_validation(self):
         with pytest.raises(ValueError, match="heartbeat_interval"):
             PartitionPlan(heartbeat_interval=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="heartbeat_interval"):
+                PartitionPlan(heartbeat_interval=bad)
+            with pytest.raises(ValueError, match="suspect_after"):
+                PartitionPlan(suspect_after=bad)
         with pytest.raises(ValueError, match="suspect_after"):
             PartitionPlan(suspect_after=0)
         with pytest.raises(ValueError, match="policy"):
